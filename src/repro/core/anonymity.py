@@ -144,7 +144,6 @@ class FrequencySet:
         """
         self.node.distance_vector(target)  # validates comparability
         code_arrays = []
-        radices = []
         for position, attribute in enumerate(self.node.attributes):
             hierarchy = self.problem.hierarchy(attribute)
             from_level = self.node.levels[position]
@@ -153,8 +152,9 @@ class FrequencySet:
             if to_level != from_level:
                 codes = hierarchy.mapping_between(from_level, to_level)[codes]
             code_arrays.append(codes)
-            radices.append(hierarchy.cardinality(to_level))
-        key_codes, counts = _regroup_weighted(code_arrays, radices, self.counts)
+        key_codes, counts = group_by_codes(
+            code_arrays, node_radices(self.problem, target), self.counts
+        )
         return FrequencySet(target, key_codes, counts, self.problem)
 
     def project(self, attributes: Sequence[str]) -> "FrequencySet":
@@ -165,143 +165,66 @@ class FrequencySet:
         positions = [self.node.attributes.index(name) for name in attributes]
         target = self.node.subset(attributes)
         code_arrays = [self.key_codes[:, position] for position in positions]
-        radices = [
-            self.problem.hierarchy(name).cardinality(target.levels[i])
-            for i, name in enumerate(attributes)
-        ]
-        key_codes, counts = _regroup_weighted(code_arrays, radices, self.counts)
+        key_codes, counts = group_by_codes(
+            code_arrays, node_radices(self.problem, target), self.counts
+        )
         return FrequencySet(target, key_codes, counts, self.problem)
 
 
-def _regroup_weighted(
-    code_arrays: Sequence[np.ndarray],
-    radices: Sequence[int],
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group code rows and SUM ``weights`` per group (SUM(count) GROUP BY).
+def node_radices(problem: PreparedTable, node: LatticeNode) -> list[int]:
+    """Per-attribute domain sizes at ``node`` — the mixed-radix key radices."""
+    return [
+        problem.hierarchy(attribute).cardinality(level)
+        for attribute, level in node.items()
+    ]
 
-    Mirrors :func:`repro.relational.groupby.group_by_codes` but aggregates a
-    weight column instead of counting rows — this is the paper's
-    ``SUM(count) ... GROUP BY`` rollup query.
+
+def generalized_columns(
+    problem: PreparedTable, node: LatticeNode, start: int, stop: int
+) -> list[np.ndarray]:
+    """Base-table rows ``[start, stop)`` generalized to ``node``, per attribute.
+
+    The one place base-table codes become node-level codes for a frequency
+    set: :func:`scan_rows` groups them, and the suppression step of
+    :func:`repro.core.generalize.apply_generalization` reuses them.
     """
-    from repro.relational.column import CODE_DTYPE
-
-    if not code_arrays:
-        raise ValueError("regroup requires at least one key column")
-    num_rows = code_arrays[0].shape[0]
-    if num_rows == 0:
-        empty = np.empty((0, len(code_arrays)), dtype=CODE_DTYPE)
-        return empty, np.empty(0, dtype=np.int64)
-    regroup_started = time.perf_counter()
-    with obs.span("groupby", kind="weighted", rows=num_rows) as sp:
-        key_codes, counts = _regroup_weighted_nonempty(
-            code_arrays, radices, weights, sp
+    num_rows = problem.num_rows
+    if not 0 <= start <= stop <= num_rows:
+        raise ValueError(
+            f"row range [{start}, {stop}) out of bounds for {num_rows} rows"
         )
-    obs.observe("latency.groupby_seconds", time.perf_counter() - regroup_started)
-    return key_codes, counts
-
-
-def _regroup_weighted_nonempty(
-    code_arrays: Sequence[np.ndarray],
-    radices: Sequence[int],
-    weights: np.ndarray,
-    sp,
-) -> tuple[np.ndarray, np.ndarray]:
-    from repro.relational.column import CODE_DTYPE
-
-    num_rows = code_arrays[0].shape[0]
-
-    # Dense mixed-radix keying (same fast path as group_by_codes): combine
-    # the key columns into one int64 per row, aggregate with bincount over
-    # the inverse index, then decode the unique keys back to code columns.
-    # The cardinality product accumulates in a plain Python int — a numpy
-    # integer radix would silently wrap at int64 and could sneak a
-    # too-large key space past the limit check (see groupby._combine_codes).
-    space = 1
-    dense = True
-    for radix in radices:
-        space *= max(int(radix), 1)
-        if space > 1 << 62:
-            dense = False
-            break
-    if dense:
-        keys = np.zeros(num_rows, dtype=np.int64)
-        for codes, radix in zip(code_arrays, radices):
-            keys *= max(radix, 1)
-            keys += codes
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(
-            inverse, weights=weights.astype(np.float64),
-            minlength=unique_keys.shape[0],
+    return [
+        problem.hierarchy(attribute).generalize_codes(
+            problem.table.column(attribute).codes[start:stop], level
         )
-        key_codes = np.empty((unique_keys.shape[0], len(code_arrays)), dtype=CODE_DTYPE)
-        remaining = unique_keys.copy()
-        for position in range(len(code_arrays) - 1, -1, -1):
-            radix = max(radices[position], 1)
-            key_codes[:, position] = remaining % radix
-            remaining //= radix
-        if sp:
-            sp.set(dense=True, groups=int(unique_keys.shape[0]))
-        return key_codes, np.round(sums).astype(np.int64)
+        for attribute, level in node.items()
+    ]
 
-    stacked = np.column_stack(
-        [np.asarray(codes, dtype=np.int64) for codes in code_arrays]
+
+def scan_rows(
+    problem: PreparedTable, node: LatticeNode, start: int, stop: int
+) -> FrequencySet:
+    """Frequency set of base-table rows ``[start, stop)`` at ``node``.
+
+    The scan kernel behind every whole-table, chunked, shard and delta
+    scan.  COUNT is distributive, so the sets of a row partition merge
+    exactly into the whole-table set with
+    :func:`repro.core.outofcore.merge_partials`.  The result is labelled
+    with ``node`` like a full scan; the caller remembers which rows it
+    covers.
+    """
+    key_codes, counts = group_by_codes(
+        generalized_columns(problem, node, start, stop),
+        node_radices(problem, node),
     )
-    unique_rows, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    sums = np.bincount(
-        inverse, weights=weights.astype(np.float64), minlength=unique_rows.shape[0]
-    )
-    if sp:
-        sp.set(dense=False, groups=int(unique_rows.shape[0]))
-    return unique_rows.astype(CODE_DTYPE), np.round(sums).astype(np.int64)
+    return FrequencySet(node, key_codes, counts, problem)
 
 
 def compute_frequency_set(
     problem: PreparedTable, node: LatticeNode
 ) -> FrequencySet:
     """Frequency set of the base table at ``node`` — one full table scan."""
-    code_arrays = []
-    radices = []
-    for attribute, level in node.items():
-        hierarchy = problem.hierarchy(attribute)
-        base_codes = problem.table.column(attribute).codes
-        code_arrays.append(hierarchy.generalize_codes(base_codes, level))
-        radices.append(hierarchy.cardinality(level))
-    key_codes, counts = group_by_codes(code_arrays, radices)
-    return FrequencySet(node, key_codes, counts, problem)
-
-
-def compute_frequency_set_range(
-    problem: PreparedTable, node: LatticeNode, start: int, stop: int
-) -> FrequencySet:
-    """*Partial* frequency set of rows ``[start, stop)`` at ``node``.
-
-    The building block of both the out-of-core chunked scan and the
-    shard-parallel evaluator: because COUNT is distributive, the partial
-    sets of a row partition merge exactly to the whole-table scan (see
-    :func:`repro.core.outofcore.merge_partial_frequency_sets`).  The
-    returned set is labelled with ``node`` like a full scan — it is the
-    caller's job to remember which row range it covers.
-    """
-    num_rows = problem.table.num_rows
-    if not 0 <= start <= stop <= num_rows:
-        raise ValueError(
-            f"row range [{start}, {stop}) out of bounds for {num_rows} rows"
-        )
-    from repro.relational.column import CODE_DTYPE
-
-    if start == stop:
-        empty = np.empty((0, node.size), dtype=CODE_DTYPE)
-        return FrequencySet(node, empty, np.empty(0, dtype=np.int64), problem)
-    code_arrays = []
-    radices = []
-    for attribute, level in node.items():
-        hierarchy = problem.hierarchy(attribute)
-        base_codes = problem.table.column(attribute).codes[start:stop]
-        code_arrays.append(hierarchy.generalize_codes(base_codes, level))
-        radices.append(hierarchy.cardinality(level))
-    key_codes, counts = group_by_codes(code_arrays, radices)
-    return FrequencySet(node, key_codes, counts, problem)
+    return scan_rows(problem, node, 0, problem.num_rows)
 
 
 def check_k_anonymity(
@@ -379,7 +302,7 @@ class FrequencyEvaluator:
         """Compute from the base table (counted as a table scan)."""
         with obs.span("scan") as sp:
             with self.stats.metrics.timer("latency.scan_seconds"):
-                result = compute_frequency_set(self.problem, node)
+                result = self._scan_table(node)
             if sp:
                 sp.set(
                     node=str(node),
@@ -390,23 +313,29 @@ class FrequencyEvaluator:
         self.stats.note_frequency_set(result.num_groups)
         return result
 
+    def _scan_table(self, node: LatticeNode) -> FrequencySet:
+        """The kernel call behind :meth:`scan`: one whole-table call, no merge.
+
+        :class:`~repro.core.outofcore.ChunkedEvaluator` swaps in its
+        chunked loop here, keeping every counter of :meth:`scan`.
+        """
+        return compute_frequency_set(self.problem, node)
+
     def scan_range(
         self, node: LatticeNode, start: int, stop: int
     ) -> FrequencySet:
         """Partial scan of rows ``[start, stop)`` (one shard of a scan).
 
         Deliberately does **not** touch the ``frequency.*`` counters or the
-        ``dist.*`` metrics: a ranged scan produces a *partial* set, and the
-        shard-mode materializer accounts one table scan (plus one
-        frequency-set observation) for the *merged* result — keeping those
-        surfaces bit-identical to a serial whole-table scan.  The shard
-        work itself is visible under the ``shard.*`` namespace.
+        ``dist.*`` metrics: a ranged scan produces a *partial* set, and
+        :meth:`merge_scan` accounts one table scan (plus one frequency-set
+        observation) for the *merged* result — keeping those surfaces
+        bit-identical to a serial whole-table scan.  The shard work itself
+        is visible under the ``shard.*`` namespace.
         """
         with obs.span("scan", kind="range") as sp:
             with self.stats.metrics.timer("shard.range_seconds"):
-                result = compute_frequency_set_range(
-                    self.problem, node, start, stop
-                )
+                result = scan_rows(self.problem, node, start, stop)
             if sp:
                 sp.set(
                     node=str(node),
@@ -430,36 +359,23 @@ class FrequencyEvaluator:
         The incremental replacement for :meth:`scan`: ``base_keys`` /
         ``base_counts`` are the node's exact frequency set over the first
         ``start`` rows (remembered from an earlier dataset version), the
-        appended suffix is scanned directly, and the two partials fold with
-        the exact distributive COUNT merge.  Because dictionary and level
-        codes are prefix-stable under appends, the merged set — groups,
-        order, and counts — is bit-identical to a whole-table scan, so this
-        accounts exactly like one: ``frequency.table_scans`` plus one
-        frequency-set observation.  The saved work is visible under
-        ``incremental.*`` (delta rows scanned, base rows reused) and the
+        appended suffix is scanned directly, and :meth:`merge_scan` folds
+        the two partials with the exact distributive COUNT merge.  Because
+        dictionary and level codes are prefix-stable under appends, the
+        merged set — groups, order, and counts — is bit-identical to a
+        whole-table scan, and is accounted exactly like one.  The saved
+        work is visible under ``incremental.*`` and the
         ``latency.delta_*`` timers.  An empty delta (``start == num_rows``)
         still takes this path, keeping the plan — and therefore every
         counter an algorithm decision can depend on — history-independent.
         """
-        from repro.core.outofcore import merge_partials
-
         num_rows = self.problem.num_rows
         with obs.span("scan", kind="delta") as sp:
             with self.stats.metrics.timer("latency.delta_scan_seconds"):
-                partial = compute_frequency_set_range(
-                    self.problem, node, start, num_rows
-                )
-            with self.stats.metrics.timer("latency.delta_merge_seconds"):
-                radices = [
-                    self.problem.hierarchy(attribute).cardinality(level)
-                    for attribute, level in node.items()
-                ]
-                key_codes, counts = merge_partials(
-                    [base_keys, partial.key_codes],
-                    [base_counts, partial.counts],
-                    radices,
-                )
-            result = FrequencySet(node, key_codes, counts, self.problem)
+                partial = scan_rows(self.problem, node, start, num_rows)
+            result = self.merge_scan(
+                node, [partial], (base_keys, base_counts, start)
+            )
             if sp:
                 sp.set(
                     node=str(node),
@@ -467,11 +383,53 @@ class FrequencyEvaluator:
                     rows_reused=start,
                     groups=result.num_groups,
                 )
-        self.stats.incremental_delta_scans += 1
-        self.stats.incremental_delta_rows_scanned += num_rows - start
-        self.stats.incremental_base_rows_reused += start
-        self.stats.table_scans += 1
-        self.stats.note_frequency_set(result.num_groups)
+        return result
+
+    def merge_scan(
+        self,
+        node: LatticeNode,
+        partials: list[FrequencySet],
+        base: tuple | None = None,
+    ) -> FrequencySet:
+        """Fold one scan's row-range partials into ``node``'s frequency set.
+
+        ``partials`` are the partial sets of consecutive row ranges;
+        ``base`` is an optional remembered ``(base_keys, base_counts,
+        start)`` prefix covering rows ``[0, start)``.  COUNT is
+        distributive and the merge sorts by the same key as a direct scan,
+        so the result is bit-identical to a whole-table scan and is
+        accounted as one: one ``frequency.table_scans`` and one
+        frequency-set observation.  The fan-out itself lands under
+        ``shard.merges`` / ``shard.merge_seconds`` for a plain scan, and
+        under ``incremental.*`` plus ``latency.delta_merge_seconds`` when a
+        base prefix is present.
+        """
+        from repro.core.outofcore import merge_partials
+
+        start = 0
+        partial_keys = [piece.key_codes for piece in partials]
+        partial_counts = [piece.counts for piece in partials]
+        if base is not None:
+            base_keys, base_counts, start = base
+            partial_keys.insert(0, base_keys)
+            partial_counts.insert(0, base_counts)
+        merge_started = time.perf_counter()
+        key_codes, counts = merge_partials(
+            partial_keys, partial_counts, node_radices(self.problem, node)
+        )
+        result = FrequencySet(node, key_codes, counts, self.problem)
+        merge_seconds = time.perf_counter() - merge_started
+        stats = self.stats
+        if base is None:
+            stats.shard_merges += 1
+            stats.shard_merge_seconds += merge_seconds
+        else:
+            stats.metrics.observe("latency.delta_merge_seconds", merge_seconds)
+            stats.incremental_delta_scans += 1
+            stats.incremental_delta_rows_scanned += self.problem.num_rows - start
+            stats.incremental_base_rows_reused += start
+        stats.table_scans += 1
+        stats.note_frequency_set(result.num_groups)
         return result
 
     def rollup(self, source: FrequencySet, target: LatticeNode) -> FrequencySet:
@@ -586,29 +544,30 @@ class FrequencyEvaluator:
         return ("scan", None)
 
     def execute_job(
-        self, node: LatticeNode, kind: str, payload: FrequencySet | None
+        self, node: LatticeNode, kind: str, payload
     ) -> FrequencySet:
-        """Carry out a plan from :meth:`resolve_job` (no cache admission)."""
-        if kind == "use":
-            assert payload is not None
-            return payload
-        if kind == "rollup":
-            assert payload is not None
-            return self.rollup(payload, node)
+        """Carry out one job (no cache admission) — the only switch on kind.
+
+        Serial, thread and process execution all land here.  Kinds are the
+        :meth:`resolve_job` plans plus ``"scan_range"``, whose payload is a
+        ``(start, stop)`` row range (one shard of a fanned-out scan, only
+        ever produced by the shard fan-out).  Every kind but ``"scan"``
+        needs its payload; a missing payload or an unknown kind raises
+        :class:`ValueError` naming the kind.
+        """
         if kind == "scan":
             return self.scan(node)
+        if kind not in ("use", "rollup", "scan_range", "delta"):
+            raise ValueError(f"unknown frequency-set job kind {kind!r}")
+        if payload is None:
+            raise ValueError(f"{kind!r} job has no payload")
+        if kind == "use":
+            return payload
+        if kind == "rollup":
+            return self.rollup(payload, node)
         if kind == "scan_range":
-            # Shard-mode expansion of a "scan" plan: payload is the row
-            # range.  Only ever produced by the shard materializer, never
-            # by resolve_job.
-            start, stop = payload  # type: ignore[misc]
-            return self.scan_range(node, start, stop)
-        if kind == "delta":
-            # Incremental plan: payload is the remembered base prefix set
-            # plus the first un-covered row (see _plan_job).
-            base_keys, base_counts, start = payload  # type: ignore[misc]
-            return self.delta_scan(node, base_keys, base_counts, start)
-        raise ValueError(f"unknown frequency-set job kind {kind!r}")
+            return self.scan_range(node, *payload)
+        return self.delta_scan(node, *payload)
 
     def cache_put(self, frequency_set: FrequencySet) -> None:
         """Admit a freshly materialised set, accounting evictions.

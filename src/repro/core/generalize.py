@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.anonymity import compute_frequency_set
+from repro.core.anonymity import generalized_columns
 from repro.core.problem import PreparedTable
 from repro.lattice.node import LatticeNode
 from repro.relational.column import Column
@@ -71,8 +71,13 @@ def apply_generalization(
     if k is None:
         return GeneralizedView(view, node, suppressed_rows=0)
 
-    frequency_set = compute_frequency_set(problem, node)
-    outliers = frequency_set.rows_below(k)
+    # Per-row group size, over the scan kernel's generalized columns.
+    columns = generalized_columns(problem, node, 0, problem.num_rows)
+    _, inverse, counts = np.unique(
+        np.column_stack(columns), axis=0, return_inverse=True, return_counts=True
+    )
+    keep = counts[inverse] >= k
+    outliers = int(np.count_nonzero(~keep))
     if outliers > max_suppression:
         raise ValueError(
             f"{node} is not {k}-anonymous within the suppression threshold: "
@@ -80,20 +85,6 @@ def apply_generalization(
         )
     if outliers == 0:
         return GeneralizedView(view, node, suppressed_rows=0)
-
-    # Build the per-row group size and keep rows in groups of size >= k.
-    code_arrays = []
-    radices = []
-    for attribute, level in node.items():
-        hierarchy = problem.hierarchy(attribute)
-        base_codes = problem.table.column(attribute).codes
-        code_arrays.append(hierarchy.generalize_codes(base_codes, level))
-        radices.append(hierarchy.cardinality(level))
-    stacked = np.column_stack([codes.astype(np.int64) for codes in code_arrays])
-    _, inverse, counts = np.unique(
-        stacked, axis=0, return_inverse=True, return_counts=True
-    )
-    keep = counts[inverse] >= k
     return GeneralizedView(view.take(keep), node, suppressed_rows=outliers)
 
 

@@ -97,12 +97,7 @@ class RootProvider:
     def frequency_set(
         self, evaluator: FrequencyEvaluator, node: LatticeNode
     ) -> FrequencySet:
-        """Materialise a root's frequency set (serial convenience path).
-
-        Subclasses predating :meth:`root_source` may override this
-        directly; the engine detects that and evaluates such roots in the
-        parent process (see :func:`_uses_legacy_frequency_set`).
-        """
+        """Materialise a root's frequency set (serial convenience path)."""
         return evaluator.materialize(node, self.root_source(evaluator, node))
 
 
@@ -112,20 +107,6 @@ class ScanRootProvider(RootProvider):
     The default :meth:`RootProvider.root_source` (no source) already means
     "scan"; the class exists so the basic variant is named in code.
     """
-
-
-def _uses_legacy_frequency_set(provider: RootProvider) -> bool:
-    """True when ``provider`` overrides frequency_set but not root_source.
-
-    Such providers (e.g. the chunked out-of-core scan provider) compute
-    finished frequency sets themselves, so their roots are evaluated
-    serially in the parent and fed to the batch as pre-resolved results.
-    """
-    cls = type(provider)
-    return (
-        cls.frequency_set is not RootProvider.frequency_set
-        and cls.root_source is RootProvider.root_source
-    )
 
 
 def _search_graph(
@@ -149,7 +130,6 @@ def _search_graph(
     marked: set[LatticeNode] = set()
     freq_cache: dict[LatticeNode, FrequencySet] = {}
     pending_children: dict[LatticeNode, int] = {}
-    legacy = _uses_legacy_frequency_set(provider)
 
     # Per-height entry lists, in insertion order.  A node's entries all
     # live at its own height, and children enter strictly above the level
@@ -192,8 +172,6 @@ def _search_graph(
             batch.append((node, parent))
             if parent is not None:
                 requests.append((node, freq_cache[parent]))
-            elif legacy:
-                requests.append((node, provider.frequency_set(evaluator, node)))
             else:
                 requests.append((node, provider.root_source(evaluator, node)))
 
@@ -234,8 +212,14 @@ def run_incognito(
     cache: FrequencySetCache | None = None,
     checkpoint: CheckpointStore | None = None,
     resume: bool = False,
+    evaluator_factory: Callable[..., FrequencyEvaluator] = FrequencyEvaluator,
 ) -> AnonymizationResult:
     """Shared driver for the Incognito variants (Figure 8's outer loop).
+
+    ``evaluator_factory`` builds the run's evaluator as
+    ``evaluator_factory(problem, stats, cache=cache)``;
+    :func:`~repro.core.outofcore.chunked_incognito` passes its
+    chunked-scan evaluator here.
 
     ``execution`` and ``cache`` default to the region defaults installed
     via :func:`repro.parallel.use_execution` /
@@ -296,7 +280,7 @@ def run_incognito(
         )
 
     stats = SearchStats()
-    evaluator = FrequencyEvaluator(problem, stats, cache=cache)
+    evaluator = evaluator_factory(problem, stats, cache=cache)
     started = time.perf_counter()
     # Provider construction may do real work (Cube Incognito's
     # pre-computation phase) so it is timed as part of the run.

@@ -26,16 +26,21 @@ the same property the rollup proof uses.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro import obs
-from repro.core.anonymity import FrequencyEvaluator, FrequencySet
+from repro.core.anonymity import (
+    FrequencyEvaluator,
+    FrequencySet,
+    node_radices,
+    scan_rows,
+)
 from repro.core.incognito import run_incognito
 from repro.core.problem import PreparedTable
 from repro.core.result import AnonymizationResult
 from repro.core.stats import SearchStats
 from repro.lattice.node import LatticeNode
-from repro.relational.column import CODE_DTYPE
 from repro.relational.groupby import group_by_codes
 
 
@@ -62,11 +67,8 @@ def merge_partials(
     this to merge worker partials exactly.
     """
     all_keys = np.concatenate(partial_keys, axis=0)
-    all_counts = np.concatenate(partial_counts)
-    from repro.core.anonymity import _regroup_weighted
-
     columns = [all_keys[:, position] for position in range(all_keys.shape[1])]
-    return _regroup_weighted(columns, radices, all_counts)
+    return group_by_codes(columns, radices, np.concatenate(partial_counts))
 
 
 def compute_frequency_set_chunked(
@@ -85,67 +87,49 @@ def compute_frequency_set_chunked(
     """
     if chunk_rows <= 0:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-    table = problem.table
-    num_rows = table.num_rows
-    hierarchies = [problem.hierarchy(name) for name in node.attributes]
-    radices = [
-        hierarchy.cardinality(level)
-        for hierarchy, level in zip(hierarchies, node.levels)
-    ]
-    if num_rows == 0:
-        empty = np.empty((0, node.size), dtype=CODE_DTYPE)
-        return FrequencySet(node, empty, np.empty(0, dtype=np.int64), problem)
-
+    num_rows = problem.num_rows
+    if num_rows <= chunk_rows:
+        return scan_rows(problem, node, 0, num_rows)
+    radices = node_radices(problem, node)
     partial_keys: list[np.ndarray] = []
     partial_counts: list[np.ndarray] = []
-    base_codes = [table.column(name).codes for name in node.attributes]
     for start in range(0, num_rows, chunk_rows):
-        stop = min(start + chunk_rows, num_rows)
-        chunk_arrays = [
-            hierarchy.level_lookup(level)[codes[start:stop]]
-            for hierarchy, level, codes in zip(
-                hierarchies, node.levels, base_codes
-            )
-        ]
-        keys, counts = group_by_codes(chunk_arrays, radices)
-        partial_keys.append(keys)
-        partial_counts.append(counts)
+        piece = scan_rows(problem, node, start, min(start + chunk_rows, num_rows))
+        partial_keys.append(piece.key_codes)
+        partial_counts.append(piece.counts)
         if len(partial_keys) >= MERGE_FAN_IN:
             merged = merge_partials(partial_keys, partial_counts, radices)
             partial_keys = [merged[0]]
             partial_counts = [merged[1]]
-
-    if len(partial_keys) == 1:
-        return FrequencySet(node, partial_keys[0], partial_counts[0], problem)
     keys, counts = merge_partials(partial_keys, partial_counts, radices)
     return FrequencySet(node, keys, counts, problem)
 
 
 class ChunkedEvaluator(FrequencyEvaluator):
-    """A FrequencyEvaluator whose table scans are block-oriented."""
+    """A FrequencyEvaluator whose table scans are block-oriented.
+
+    Only the kernel call of :meth:`FrequencyEvaluator.scan` changes, so a
+    chunked run records the same ``frequency.*``, ``cache.*`` and latency
+    accounting as an in-memory one.
+    """
 
     def __init__(
         self,
         problem: PreparedTable,
         stats: SearchStats | None = None,
         *,
+        cache=None,
         chunk_rows: int = 65_536,
     ) -> None:
-        super().__init__(problem, stats)
         if chunk_rows <= 0:
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
+        super().__init__(problem, stats, cache=cache)
         self.chunk_rows = chunk_rows
 
-    def scan(self, node: LatticeNode) -> FrequencySet:
-        with obs.span("scan", kind="chunked", chunk_rows=self.chunk_rows) as sp:
-            result = compute_frequency_set_chunked(
-                self.problem, node, chunk_rows=self.chunk_rows
-            )
-            if sp:
-                sp.set(node=str(node), groups=result.num_groups)
-        self.stats.table_scans += 1
-        self.stats.note_frequency_set(result.num_groups)
-        return result
+    def _scan_table(self, node: LatticeNode) -> FrequencySet:
+        return compute_frequency_set_chunked(
+            self.problem, node, chunk_rows=self.chunk_rows
+        )
 
 
 def chunked_incognito(
@@ -157,30 +141,15 @@ def chunked_incognito(
 ) -> AnonymizationResult:
     """Basic Incognito with bounded-memory (chunked) table scans.
 
-    Same answers as :func:`repro.core.incognito.basic_incognito`; wall
-    clock pays a small per-chunk overhead, which
-    ``benchmarks/test_ablation_materialized.py`` quantifies.
+    Same answers and counters as
+    :func:`repro.core.incognito.basic_incognito`; wall clock pays a small
+    per-chunk overhead, which ``benchmarks/test_ablation_materialized.py``
+    quantifies.
     """
-    from repro.core import incognito as incognito_module
-
-    # run_incognito builds its own evaluator; routing all root scans
-    # through the chunked path only needs a provider override.
-    class _ChunkedScanProvider(incognito_module.RootProvider):
-        def frequency_set(self, evaluator, node):
-            with obs.span("scan", kind="chunked", chunk_rows=chunk_rows) as sp:
-                result = compute_frequency_set_chunked(
-                    problem, node, chunk_rows=chunk_rows
-                )
-                if sp:
-                    sp.set(node=str(node), groups=result.num_groups)
-            evaluator.stats.table_scans += 1
-            evaluator.stats.note_frequency_set(result.num_groups)
-            return result
-
     return run_incognito(
         problem,
         k,
         max_suppression=max_suppression,
-        provider_factory=lambda p, e: _ChunkedScanProvider(),
         algorithm="chunked-incognito",
+        evaluator_factory=partial(ChunkedEvaluator, chunk_rows=chunk_rows),
     )

@@ -12,10 +12,12 @@ a thread pool, on a process pool, or shard-parallel over shared memory
 The ``shards`` mode adds a second axis of parallelism for full-scale
 tables: the QI code arrays live in ``multiprocessing.shared_memory``
 segments (:mod:`repro.shard`) that every worker attaches zero-copy, and
-each planned scan fans out as ``scan_range`` jobs over contiguous row
-shards whose partial frequency sets the parent merges exactly
-(:func:`repro.core.outofcore.merge_partials` — COUNT is distributive).
-Rollups are not fanned out; their inputs are already small.
+each planned scan — plain, or a delta scan after a remembered base
+prefix — fans out as ``scan_range`` jobs over contiguous row shards whose
+partial frequency sets the parent merges exactly
+(:meth:`~repro.core.anonymity.FrequencyEvaluator.merge_scan` — COUNT is
+distributive).  Rollups are not fanned out; their inputs are already
+small.
 
 Determinism contract (what makes ``--workers N`` safe to trust):
 
@@ -66,12 +68,7 @@ from repro.obs.counters import CounterSet
 from repro.obs.metrics import MetricSet
 from repro.parallel import worker as worker_module
 from repro.parallel.config import ExecutionConfig, current_execution
-from repro.resilience.faults import (
-    InjectedWorkerCrash,
-    PoisonedResultError,
-    apply_worker_fault,
-    poison_payload,
-)
+from repro.resilience.faults import InjectedWorkerCrash, PoisonedResultError
 
 #: A materialisation request: the node plus an optional rollup source.
 Request = "tuple[LatticeNode, FrequencySet | None]"
@@ -101,60 +98,27 @@ def _split_chunks(items: list, pieces: int) -> list[list]:
     return chunks
 
 
-def _thread_chunk(
-    problem, chunk, directive=None, submitted_at=None, traceparent=None
-):
-    """Execute one chunk in a worker thread (shared memory, private stats).
-
-    Also the supervised path's serial fallback (with ``directive=None``):
-    executing through a private evaluator and merging the delta keeps the
-    counters bit-identical whichever rung of the ladder did the work.
-    Ships the same chunk telemetry as a process worker, so the ``worker.*``
-    histograms describe the pool uniformly across thread and process modes.
-    The ``worker.chunk`` span is parented explicitly via ``traceparent``
-    (the dispatching ``parallel.batch`` span): pool threads have an empty
-    span stack, and the serial fallback passes None, inheriting the
-    caller's stack instead.
-    """
-    from repro.core.stats import SearchStats
-    from repro.parallel.worker import _note_worker_telemetry
-
-    context = obs.TraceContext.from_traceparent(traceparent)
-    with obs.span_from(context, "worker.chunk", jobs=len(chunk)):
-        apply_worker_fault(directive, in_process=False)
-        chunk_started = time.perf_counter()
-        evaluator = FrequencyEvaluator(problem, SearchStats())
-        out = []
-        for _, node, kind, payload in chunk:
-            out.append(evaluator.execute_job(node, kind, payload))
-        _note_worker_telemetry(
-            evaluator.stats.metrics,
-            num_jobs=len(chunk),
-            chunk_seconds=time.perf_counter() - chunk_started,
-            submitted_at=submitted_at,
-        )
-    result = (out, evaluator.stats.counters, evaluator.stats.metrics)
-    if directive is not None and directive[0] == "poison":
-        result = poison_payload(result)
-    return result
+def _jobs(chunk) -> list[tuple]:
+    """A chunk's ``(node, kind, payload)`` jobs, without the parent's slots."""
+    return [(node, kind, payload) for _, node, kind, payload in chunk]
 
 
 def _ship_chunk(chunk) -> list[tuple]:
-    """Explode a chunk's payloads into picklable job tuples for a process.
+    """A chunk's jobs as picklable tuples for a process worker.
 
-    Rollup sources (:class:`FrequencySet`) are exploded to their two small
-    arrays; plain-tuple payloads — a ``scan_range`` job's ``(start, stop)``
-    row range — are already picklable and pass through unchanged.
+    Rollup sources (:class:`FrequencySet`) are exploded to their node and
+    two small arrays (:func:`repro.parallel.worker.run_chunk` rebuilds
+    them); every other payload is already a plain tuple or None.
     """
     return [
         (
             node,
             kind,
-            payload
-            if payload is None or isinstance(payload, tuple)
-            else (payload.node, payload.key_codes, payload.counts),
+            (payload.node, payload.key_codes, payload.counts)
+            if isinstance(payload, FrequencySet)
+            else payload,
         )
-        for _, node, kind, payload in chunk
+        for node, kind, payload in _jobs(chunk)
     ]
 
 
@@ -374,21 +338,18 @@ class BatchMaterializer:
             ]
 
         results: list[FrequencySet | None] = [None] * len(requests)
-        pending = []  # (slot, node, kind, payload); slot is the request
-        # index, or ("shard", index, piece) for one range of a fanned scan
+        pending = []  # (request index, node, kind, payload)
         for index, (node, source) in enumerate(requests):
             kind, payload = evaluator.resolve_job(node, source)
             if kind == "use":
                 results[index] = payload
             else:
                 pending.append((index, node, kind, payload))
-        shard_plan: dict[int, int] = {}  # request index → piece count
-        # request index → (piece count, remembered base-prefix payload)
-        delta_plan: dict[int, tuple[int, tuple]] = {}
+        # request index → remembered base prefix (None for a plain scan)
+        fanned: dict[int, tuple | None] = {}
         if self._mode == "shards":
-            pending = self._expand_shard_scans(pending, shard_plan)
-            pending = self._expand_delta_scans(pending, delta_plan)
-        if len(pending) <= 1 and not shard_plan and not delta_plan:
+            pending = self._fan_out(pending, fanned)
+        if len(pending) <= 1 and not fanned:
             # Nothing (or a single job) survived the cache: dispatching to
             # a pool would cost more than the work.
             for index, node, kind, payload in pending:
@@ -408,51 +369,31 @@ class BatchMaterializer:
             self._batch_traceparent = sp.traceparent() if sp else None
             payloads = self._dispatch_supervised(evaluator, chunks)
             merge_seconds = 0.0
-            shard_partials: dict[int, list] = {
-                index: [None] * count for index, count in shard_plan.items()
-            }
-            delta_partials: dict[int, list] = {
-                index: [None] * count
-                for index, (count, _) in delta_plan.items()
-            }
+            partials: dict[int, list] = {index: [] for index in fanned}
             for chunk, (chunk_results, delta, metrics_delta) in zip(
                 chunks, payloads
             ):
                 merge_started = time.perf_counter()
                 evaluator.stats.counters += delta
                 evaluator.stats.metrics += metrics_delta
-                for (slot, node, _, _), item in zip(chunk, chunk_results):
-                    if isinstance(slot, tuple):
-                        family, index, piece = slot
-                        if isinstance(item, FrequencySet):
-                            item = (item.key_codes, item.counts)
-                        partial_store = (
-                            shard_partials
-                            if family == "shard"
-                            else delta_partials
-                        )
-                        partial_store[index][piece] = item
+                for (index, node, kind, _), item in zip(chunk, chunk_results):
+                    if not isinstance(item, FrequencySet):
+                        item = FrequencySet(node, *item, self.problem)
+                    if kind == "scan_range":
+                        # Pieces arrive in row order: chunks are contiguous
+                        # runs of the request-ordered job list.
+                        partials[index].append(item)
                         continue
-                    if isinstance(item, FrequencySet):
-                        result = item
-                    else:
-                        key_codes, counts = item
-                        result = FrequencySet(
-                            node, key_codes, counts, self.problem
-                        )
-                    evaluator.cache_put(result)
-                    results[slot] = result
+                    evaluator.cache_put(item)
+                    results[index] = item
                 merge_seconds += time.perf_counter() - merge_started
-            for index, partials in shard_partials.items():
-                result = self._merge_shard_partials(
-                    evaluator, requests[index][0], partials
-                )
-                evaluator.cache_put(result)
-                results[index] = result
-            for index, partials in delta_partials.items():
-                result = self._merge_delta_partials(
-                    evaluator, requests[index][0], delta_plan[index][1],
-                    partials,
+            # Admission order decides what a byte-bounded cache or delta
+            # context evicts: fanned plain scans are admitted before
+            # fanned delta scans, which keeps the eviction counters of
+            # shards-mode runs fixed.
+            for index in sorted(fanned, key=lambda i: fanned[i] is not None):
+                result = evaluator.merge_scan(
+                    requests[index][0], partials[index], fanned[index]
                 )
                 evaluator.cache_put(result)
                 results[index] = result
@@ -465,160 +406,40 @@ class BatchMaterializer:
         stats.parallel_merge_seconds += merge_seconds
         return results
 
-    # ------------------------------------------------------------------
-    # shard fan-out (the `shards` execution mode)
-    # ------------------------------------------------------------------
-    def _expand_shard_scans(
-        self, pending: list, shard_plan: dict[int, int]
-    ) -> list:
-        """Fan each planned ``scan`` out over the table's row shards.
+    def _fan_out(self, pending: list, fanned: dict[int, tuple | None]) -> list:
+        """Split each planned scan's rows over row shards (``shards`` mode).
 
-        Rollup jobs pass through untouched — their inputs are already
-        small.  A table that fits in a single shard (or is empty) is not
-        fanned out either; the plain scan path handles it.  Fanned
-        entries carry ``("shard", request_index, piece)`` slots so the
-        merge phase can reassemble partials in deterministic piece order,
-        and ``shard_plan`` records the piece count per fanned request.
+        A planned scan is an optional remembered base prefix (a ``delta``
+        plan's payload) plus rows ``[start, N)``; a plain ``scan`` is the
+        case with no base and ``start = 0``.  Those rows split into
+        :func:`~repro.shard.shm.plan_shards` ranges, one ``scan_range``
+        job each, and ``fanned`` keeps the base for the merge.  Rollups
+        pass through — their inputs are already small — and so does a
+        scan whose rows fit one shard: it ships whole, and a ``delta`` job
+        merges its base in the worker.
         """
-        ranges = self._shard_ranges()
-        if len(ranges) <= 1:
-            return pending
-        expanded = []
-        for entry in pending:
-            index, node, kind, payload = entry
-            if kind != "scan":
-                expanded.append(entry)
-                continue
-            shard_plan[index] = len(ranges)
-            for piece, bounds in enumerate(ranges):
-                expanded.append(
-                    (("shard", index, piece), node, "scan_range", bounds)
-                )
-        return expanded
-
-    def _shard_ranges(self) -> list[tuple[int, int]]:
         from repro.shard.shm import plan_shards
 
-        return plan_shards(
-            self.problem.table.num_rows, self.execution.effective_shard_rows
-        )
-
-    def _expand_delta_scans(
-        self, pending: list, delta_plan: dict[int, tuple[int, tuple]]
-    ) -> list:
-        """Fan a ``delta`` plan's appended-row suffix over row shards.
-
-        The remembered base prefix stays in the parent (``delta_plan``
-        keeps its payload for the merge phase); only the un-covered suffix
-        ``[start, num_rows)`` is split into ``scan_range`` jobs.  A suffix
-        that fits one shard is not fanned out — the whole ``delta`` job
-        ships to a worker, which performs the scan *and* the base merge
-        itself.  Fanned entries carry ``("delta", request_index, piece)``
-        slots, mirroring the shard fan-out.
-        """
+        num_rows = self.problem.table.num_rows
         expanded = []
         for entry in pending:
             index, node, kind, payload = entry
-            if kind != "delta":
+            if kind not in ("scan", "delta"):
                 expanded.append(entry)
                 continue
-            _, _, start = payload
-            ranges = self._delta_ranges(start)
+            start = 0 if payload is None else payload[2]
+            ranges = plan_shards(
+                num_rows - start, self.execution.effective_shard_rows
+            )
             if len(ranges) <= 1:
                 expanded.append(entry)
                 continue
-            delta_plan[index] = (len(ranges), payload)
-            for piece, bounds in enumerate(ranges):
-                expanded.append(
-                    (("delta", index, piece), node, "scan_range", bounds)
-                )
-        return expanded
-
-    def _delta_ranges(self, start: int) -> list[tuple[int, int]]:
-        from repro.shard.shm import plan_shards
-
-        num_rows = self.problem.table.num_rows
-        return [
-            (start + lo, start + hi)
-            for lo, hi in plan_shards(
-                num_rows - start, self.execution.effective_shard_rows
+            fanned[index] = payload
+            expanded.extend(
+                (index, node, "scan_range", (start + lo, start + hi))
+                for lo, hi in ranges
             )
-        ]
-
-    def _merge_shard_partials(
-        self, evaluator: FrequencyEvaluator, node, partials: list
-    ) -> FrequencySet:
-        """Fold one node's per-shard partials into its exact frequency set.
-
-        COUNT is distributive and the re-group sorts by the same dense
-        key as a direct scan, so the merged set is bit-identical to a
-        whole-table scan.  The *merged* result is what the run's scan
-        accounting describes: one ``frequency.table_scans`` increment and
-        one frequency-set observation, exactly as a serial run would
-        record — the shard work itself lives under ``shard.*``.
-        """
-        from repro.core.outofcore import merge_partials
-
-        radices = [
-            self.problem.hierarchy(attribute).cardinality(level)
-            for attribute, level in node.items()
-        ]
-        merge_started = time.perf_counter()
-        key_codes, counts = merge_partials(
-            [keys for keys, _ in partials],
-            [piece_counts for _, piece_counts in partials],
-            radices,
-        )
-        result = FrequencySet(node, key_codes, counts, self.problem)
-        stats = evaluator.stats
-        stats.shard_merges += 1
-        stats.shard_merge_seconds += time.perf_counter() - merge_started
-        stats.table_scans += 1
-        stats.note_frequency_set(result.num_groups)
-        return result
-
-    def _merge_delta_partials(
-        self,
-        evaluator: FrequencyEvaluator,
-        node: LatticeNode,
-        base: tuple,
-        partials: list,
-    ) -> FrequencySet:
-        """Fold the remembered prefix and per-shard delta partials exactly.
-
-        The shards-mode counterpart of
-        :meth:`FrequencyEvaluator.delta_scan`: the base prefix set joins
-        the fanned-out suffix partials in one distributive COUNT merge,
-        and the merged result accounts identically — one
-        ``frequency.table_scans``, one frequency-set observation, and the
-        same ``incremental.*`` deltas a serial delta scan records — so
-        both counter families stay independent of the execution mode.
-        """
-        from repro.core.outofcore import merge_partials
-
-        base_keys, base_counts, start = base
-        radices = [
-            self.problem.hierarchy(attribute).cardinality(level)
-            for attribute, level in node.items()
-        ]
-        merge_started = time.perf_counter()
-        key_codes, counts = merge_partials(
-            [base_keys, *(keys for keys, _ in partials)],
-            [base_counts, *(counts_ for _, counts_ in partials)],
-            radices,
-        )
-        result = FrequencySet(node, key_codes, counts, self.problem)
-        stats = evaluator.stats
-        stats.metrics.observe(
-            "latency.delta_merge_seconds", time.perf_counter() - merge_started
-        )
-        num_rows = self.problem.table.num_rows
-        stats.incremental_delta_scans += 1
-        stats.incremental_delta_rows_scanned += num_rows - start
-        stats.incremental_base_rows_reused += start
-        stats.table_scans += 1
-        stats.note_frequency_set(result.num_groups)
-        return result
+        return expanded
 
     # ------------------------------------------------------------------
     # supervised dispatch (retry / degrade ladder)
@@ -684,9 +505,9 @@ class BatchMaterializer:
         submitted_at = time.monotonic()
         if self._mode == "threads":
             state.future = executor.submit(
-                _thread_chunk,
+                worker_module.execute_chunk,
                 self.problem,
-                state.chunk,
+                _jobs(state.chunk),
                 directive,
                 submitted_at,
                 self._batch_traceparent,
@@ -721,7 +542,8 @@ class BatchMaterializer:
         while True:
             if self._mode == "serial" or state.serial_fallback:
                 return _validate_payload(
-                    state.chunk, _thread_chunk(self.problem, state.chunk)
+                    state.chunk,
+                    worker_module.execute_chunk(self.problem, _jobs(state.chunk)),
                 )
             future = state.future
             if future is None:

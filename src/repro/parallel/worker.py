@@ -138,35 +138,34 @@ def _note_worker_telemetry(
         metrics.observe("worker.rss_bytes", rss_bytes)
 
 
-def run_chunk(
-    jobs: Sequence[tuple[Any, str, tuple | None]],
+def execute_chunk(
+    problem,
+    jobs: Sequence[tuple[Any, str, Any]],
     directive: tuple[str, float] | None = None,
     submitted_at: float | None = None,
     traceparent: str | None = None,
-) -> tuple[list[tuple], "CounterSet", "MetricSet"]:
-    """Materialise one chunk of frequency-set jobs in a worker process.
+    *,
+    in_process: bool = False,
+) -> tuple[list, "CounterSet", "MetricSet"]:
+    """Execute one chunk of ``(node, kind, payload)`` jobs on ``problem``.
 
-    ``jobs`` entries are ``(node, kind, payload)`` with kind ``"scan"``
-    (payload None), ``"rollup"`` (payload is the source set exploded to
-    ``(source_node, key_codes, counts)``), ``"scan_range"`` (payload is
-    a ``(start, stop)`` row range — one shard of a fanned-out scan, whose
-    partial result the parent merges exactly), or ``"delta"`` (payload is
-    a remembered ``(base_keys, base_counts, start)`` prefix frequency set
-    — scan only rows ``[start, end)`` and fold the prefix in with the
-    exact COUNT merge; see ``repro.incremental``).  Returns the materialised
-    ``(key_codes, counts)`` pairs in job order plus this chunk's stats
-    delta and metrics delta.
+    Shared by thread workers, process workers (via :func:`run_chunk`) and
+    the supervised path's serial fallback: each job goes through
+    :meth:`~repro.core.anonymity.FrequencyEvaluator.execute_job` on a
+    private evaluator, so the chunk's stats delta is bit-identical
+    whichever rung of the ladder did the work.  Returns the frequency
+    sets in job order plus the stats and metrics deltas, including the
+    ``worker.*`` chunk telemetry.
 
     ``submitted_at`` is the parent's ``time.monotonic`` reading at submit
     time, used for the ``worker.queue_wait_seconds`` observation.
 
     ``traceparent`` is the dispatching ``parallel.batch`` span's trace
-    position; when tracing is enabled in this process (see
-    :func:`init_worker`) the chunk executes under a ``worker.chunk`` span
-    parented there, flushed to this worker's own trace file before the
-    result ships.  Span output never rides the chunk-result channel —
-    the returned counter delta stays bit-identical whether or not
-    tracing is on, preserving the ``frequency.*`` determinism contract.
+    position: the ``worker.chunk`` span parents there (pool threads and
+    processes have an empty span stack; the serial fallback passes None
+    and inherits the caller's stack).  Span output never rides the
+    result — the counter delta stays bit-identical whether or not tracing
+    is on, preserving the ``frequency.*`` determinism contract.
 
     ``directive`` is a pre-drawn fault-injection order from the parent's
     :class:`~repro.resilience.faults.FaultPlan` (crash/stall before doing
@@ -176,60 +175,68 @@ def run_chunk(
     counters stay bit-identical to a fault-free run.
     """
     from repro import obs
-    from repro.core.anonymity import FrequencyEvaluator, FrequencySet
+    from repro.core.anonymity import FrequencyEvaluator
     from repro.core.stats import SearchStats
     from repro.resilience.faults import apply_worker_fault, poison_payload
 
-    # ra: RA003 -- read of the initializer-installed problem (see above);
-    # never mutated after init_worker, so chunk results stay deterministic.
-    if _PROBLEM is None:
-        raise RuntimeError("worker used before init_worker installed a problem")
     context = obs.TraceContext.from_traceparent(traceparent)
     with obs.span_from(context, "worker.chunk", jobs=len(jobs)):
-        apply_worker_fault(directive, in_process=True)
+        apply_worker_fault(directive, in_process=in_process)
         chunk_started = time.perf_counter()
-        evaluator = FrequencyEvaluator(_PROBLEM, SearchStats())
-        out: list[tuple] = []
-        for node, kind, payload in jobs:
-            if kind == "scan":
-                result = evaluator.scan(node)
-            elif kind == "rollup":
-                if payload is None:
-                    raise ValueError(
-                        "rollup job shipped without a source payload"
-                    )
-                source_node, key_codes, counts = payload
-                source = FrequencySet(source_node, key_codes, counts, _PROBLEM)
-                result = evaluator.rollup(source, node)
-            elif kind == "scan_range":
-                if payload is None:
-                    raise ValueError(
-                        "scan_range job shipped without a row range"
-                    )
-                start, stop = payload
-                result = evaluator.scan_range(node, start, stop)
-            elif kind == "delta":
-                if payload is None:
-                    raise ValueError(
-                        "delta job shipped without a base prefix set"
-                    )
-                base_keys, base_counts, start = payload
-                result = evaluator.delta_scan(
-                    node, base_keys, base_counts, start
-                )
-            else:
-                raise ValueError(f"unknown job kind {kind!r}")
-            out.append((result.key_codes, result.counts))
+        evaluator = FrequencyEvaluator(problem, SearchStats())
+        results = [
+            evaluator.execute_job(node, kind, payload)
+            for node, kind, payload in jobs
+        ]
         _note_worker_telemetry(
             evaluator.stats.metrics,
             num_jobs=len(jobs),
             chunk_seconds=time.perf_counter() - chunk_started,
             submitted_at=submitted_at,
         )
-    # Land the span before the result ships: a worker that is killed
-    # between chunks must not lose spans for chunks it completed.
-    obs.flush()
-    payload_out = (out, evaluator.stats.counters, evaluator.stats.metrics)
+    payload_out = (results, evaluator.stats.counters, evaluator.stats.metrics)
     if directive is not None and directive[0] == "poison":
         payload_out = poison_payload(payload_out)
     return payload_out
+
+
+def run_chunk(
+    jobs: Sequence[tuple[Any, str, tuple | None]],
+    directive: tuple[str, float] | None = None,
+    submitted_at: float | None = None,
+    traceparent: str | None = None,
+) -> tuple[list[tuple], "CounterSet", "MetricSet"]:
+    """Materialise one chunk of frequency-set jobs in a worker process.
+
+    ``jobs`` are :func:`execute_chunk` jobs as shipped by the parent: a
+    rollup source arrives exploded to ``(source_node, key_codes, counts)``
+    and is rebuilt against the worker-resident problem here.  Returns the
+    materialised ``(key_codes, counts)`` pairs in job order plus the
+    chunk's stats and metrics deltas.  When tracing is enabled in this
+    process (see :func:`init_worker`), the ``worker.chunk`` span is
+    flushed to this worker's own trace file before the result ships.
+    """
+    from repro import obs
+    from repro.core.anonymity import FrequencySet
+
+    # ra: RA003 -- read of the initializer-installed problem (see above);
+    # never mutated after init_worker, so chunk results stay deterministic.
+    if _PROBLEM is None:
+        raise RuntimeError("worker used before init_worker installed a problem")
+    jobs = [
+        (
+            node,
+            kind,
+            FrequencySet(*payload, _PROBLEM)
+            if kind == "rollup" and payload is not None
+            else payload,
+        )
+        for node, kind, payload in jobs
+    ]
+    results, counters, metrics = execute_chunk(
+        _PROBLEM, jobs, directive, submitted_at, traceparent, in_process=True
+    )
+    # Land the span before the result ships: a worker that is killed
+    # between chunks must not lose spans for chunks it completed.
+    obs.flush()
+    return [(fs.key_codes, fs.counts) for fs in results], counters, metrics

@@ -8,7 +8,8 @@ Here the same computation runs over dictionary codes: the n key columns are
 combined into a single mixed-radix integer key, then counted with
 ``np.unique``.  Group keys come back as a 2-D code matrix plus per-column
 dictionaries, so downstream code (rollup, k-anonymity checks) never touches
-raw values.
+raw values.  With per-row weights the same routine evaluates the rollup's
+``SELECT SUM(count) ... GROUP BY`` over an existing frequency set.
 """
 
 from __future__ import annotations
@@ -135,14 +136,31 @@ def _combine_codes(
     return keys, True
 
 
+def _unique(values: np.ndarray, weights: np.ndarray | None, **axis):
+    """Sorted distinct ``values`` with their row counts or summed weights."""
+    if weights is None:
+        return np.unique(values, return_counts=True, **axis)
+    unique, inverse = np.unique(values, return_inverse=True, **axis)
+    sums = np.bincount(
+        inverse, weights=weights.astype(np.float64), minlength=unique.shape[0]
+    )
+    return unique, np.round(sums).astype(np.int64)
+
+
 def group_by_codes(
-    code_arrays: Sequence[np.ndarray], radices: Sequence[int]
+    code_arrays: Sequence[np.ndarray],
+    radices: Sequence[int],
+    weights: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Group rows given per-column code arrays.
 
     Returns ``(key_codes, counts)`` where ``key_codes`` is a
-    ``(num_groups, num_keys)`` matrix of codes and ``counts`` the group sizes.
-    The core of both frequency-set computation and rollup re-aggregation.
+    ``(num_groups, num_keys)`` matrix of codes, sorted lexicographically,
+    and ``counts`` the group sizes.  Without ``weights`` this is the scan's
+    ``COUNT(*) ... GROUP BY``; with them it is the rollup's and merge's
+    ``SUM(count) ... GROUP BY`` (the weights are summed through a float64
+    ``bincount``, exact below 2**53).  The only grouping primitive behind
+    every frequency set.
     """
     if not code_arrays:
         raise ValueError("group_by_codes requires at least one key column")
@@ -151,14 +169,14 @@ def group_by_codes(
         empty = np.empty((0, len(code_arrays)), dtype=CODE_DTYPE)
         return empty, np.empty(0, dtype=np.int64)
 
-    with obs.span("groupby", kind="count", rows=num_rows) as sp:
+    kind = "count" if weights is None else "weighted"
+    with obs.span("groupby", kind=kind, rows=num_rows) as sp:
         groupby_started = time.perf_counter()
-        key_build_started = time.perf_counter()
         keys, dense = _combine_codes(code_arrays, radices)
-        key_build_seconds = time.perf_counter() - key_build_started
+        key_build_seconds = time.perf_counter() - groupby_started
         count_started = time.perf_counter()
         if dense:
-            unique_keys, counts = np.unique(keys, return_counts=True)
+            unique_keys, counts = _unique(keys, weights)
             # Decode the mixed-radix keys back into per-column codes.
             key_codes = np.empty(
                 (unique_keys.shape[0], len(code_arrays)), dtype=CODE_DTYPE
@@ -172,7 +190,7 @@ def group_by_codes(
             stacked = np.column_stack(
                 [codes.astype(np.int64) for codes in code_arrays]
             )
-            unique_rows, counts = np.unique(stacked, axis=0, return_counts=True)
+            unique_rows, counts = _unique(stacked, weights, axis=0)
             key_codes = unique_rows.astype(CODE_DTYPE)
         if sp:
             sp.set(

@@ -238,3 +238,14 @@ class TestFrequencyEvaluator:
         assert stats.nodes_checked == 1
         assert stats.frequency_evaluations == 3
         assert stats.checks_by_subset_size == {3: 1}
+
+    @pytest.mark.parametrize(
+        "kind", ["use", "rollup", "scan_range", "delta", "bogus"]
+    )
+    def test_execute_job_rejects_bad_jobs_with_a_typed_error(self, kind):
+        # A job missing its payload, or of an unknown kind, is a ValueError
+        # naming the kind -- never a bare assert or an AttributeError.
+        evaluator = FrequencyEvaluator(patients_problem())
+        with pytest.raises(ValueError, match=kind):
+            evaluator.execute_job(node(0, 0, 0), kind, None)
+        assert evaluator.stats.frequency_evaluations == 0

@@ -5,6 +5,7 @@ import pytest
 import numpy as np
 
 from repro.core.anonymity import compute_frequency_set
+from repro.core.fscache import FrequencySetCache, use_cache
 from repro.core.incognito import basic_incognito
 from repro.core.outofcore import (
     MERGE_FAN_IN,
@@ -134,3 +135,33 @@ class TestChunkedIncognito:
     def test_algorithm_label(self):
         result = chunked_incognito(patients_problem(), 2)
         assert result.algorithm == "chunked-incognito"
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_counters_and_latency_match_basic(self, cached):
+        """A chunked run is the same search with a different scan kernel:
+        its frequency.*, nodes.* and cache.* counters equal basic
+        Incognito's, and every table scan is timed."""
+        problem = adults_problem(5_000, qi_size=5)
+
+        def run(algorithm):
+            if not cached:
+                return algorithm(problem, 2)
+            with use_cache(FrequencySetCache()):
+                return algorithm(problem, 2)
+
+        def structural(result):
+            return {
+                name: value
+                for name, value in result.stats.counters.as_dict().items()
+                if name.split(".")[0] in ("frequency", "nodes", "cache")
+            }
+
+        basic = run(basic_incognito)
+        chunked = run(
+            lambda p, k: chunked_incognito(p, k, chunk_rows=1_000)
+        )
+        assert structural(chunked) == structural(basic)
+        assert ("cache.misses" in structural(chunked)) == cached
+        scans = chunked.stats.metrics.get("latency.scan_seconds")
+        assert scans is not None
+        assert scans.count == chunked.stats.table_scans > 0

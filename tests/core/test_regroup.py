@@ -1,8 +1,9 @@
-"""Tests for the weighted regroup kernel behind rollup/projection."""
+"""Tests for the weighted ``group_by_codes`` path behind rollup, projection
+and partial merges (``SUM(count) ... GROUP BY``)."""
 
 import numpy as np
 
-from repro.core.anonymity import _regroup_weighted
+from repro.relational.groupby import group_by_codes
 
 
 def _as_map(keys: np.ndarray, sums: np.ndarray) -> dict:
@@ -18,7 +19,7 @@ class TestRegroupWeighted:
         a = rng.integers(0, 5, 300).astype(np.int32)
         b = rng.integers(0, 3, 300).astype(np.int32)
         weights = rng.integers(1, 9, 300).astype(np.int64)
-        keys, sums = _regroup_weighted([a, b], [5, 3], weights)
+        keys, sums = group_by_codes([a, b], [5, 3], weights=weights)
         expected: dict = {}
         for x, y, w in zip(a.tolist(), b.tolist(), weights.tolist()):
             expected[(x, y)] = expected.get((x, y), 0) + w
@@ -28,19 +29,21 @@ class TestRegroupWeighted:
         rng = np.random.default_rng(1)
         arrays = [rng.integers(0, 4, 120).astype(np.int32) for _ in range(3)]
         weights = rng.integers(1, 5, 120).astype(np.int64)
-        dense_keys, dense_sums = _regroup_weighted(arrays, [4, 4, 4], weights)
+        dense_keys, dense_sums = group_by_codes(
+            arrays, [4, 4, 4], weights=weights
+        )
         # Oversized radices force the np.unique(axis=0) fallback.
         big = 2 ** 31
-        sparse_keys, sparse_sums = _regroup_weighted(
-            arrays, [big, big, big], weights
+        sparse_keys, sparse_sums = group_by_codes(
+            arrays, [big, big, big], weights=weights
         )
         assert _as_map(dense_keys, dense_sums) == _as_map(
             sparse_keys, sparse_sums
         )
 
     def test_empty_input(self):
-        keys, sums = _regroup_weighted(
-            [np.empty(0, dtype=np.int32)], [3], np.empty(0, dtype=np.int64)
+        keys, sums = group_by_codes(
+            [np.empty(0, dtype=np.int32)], [3], weights=np.empty(0, dtype=np.int64)
         )
         assert keys.shape == (0, 1)
         assert sums.size == 0
@@ -49,13 +52,13 @@ class TestRegroupWeighted:
         import pytest
 
         with pytest.raises(ValueError):
-            _regroup_weighted([], [], np.empty(0))
+            group_by_codes([], [], weights=np.empty(0))
 
     def test_total_weight_preserved(self):
         rng = np.random.default_rng(2)
         a = rng.integers(0, 7, 500).astype(np.int32)
         weights = rng.integers(1, 100, 500).astype(np.int64)
-        _, sums = _regroup_weighted([a], [7], weights)
+        _, sums = group_by_codes([a], [7], weights=weights)
         assert sums.sum() == weights.sum()
 
     def test_large_counts_exact(self):
@@ -63,5 +66,5 @@ class TestRegroupWeighted:
         realistic magnitudes (paper: 4.6M rows)."""
         a = np.zeros(10, dtype=np.int32)
         weights = np.full(10, 1_000_000_007, dtype=np.int64)
-        _, sums = _regroup_weighted([a], [1], weights)
+        _, sums = group_by_codes([a], [1], weights=weights)
         assert int(sums[0]) == 10 * 1_000_000_007

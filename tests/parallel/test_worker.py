@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.anonymity import compute_frequency_set_range
+from repro.core.anonymity import scan_rows
 from repro.parallel import worker
 from tests.conftest import tiny_numeric_problem
 
@@ -78,7 +78,7 @@ class TestRunChunkScanRange:
         node = installed_problem.bottom_node()
         out, counters, _ = worker.run_chunk([(node, "scan_range", (2, 7))])
         (key_codes, counts), = out
-        direct = compute_frequency_set_range(installed_problem, node, 2, 7)
+        direct = scan_rows(installed_problem, node, 2, 7)
         np.testing.assert_array_equal(key_codes, direct.key_codes)
         np.testing.assert_array_equal(counts, direct.counts)
         # Shard work is telemetry, not scan accounting.
