@@ -308,12 +308,11 @@ def run_incognito(
             algorithm=algorithm,
             iterations_done=start_size - 1,
         ):
-            # Replay completed iterations as pure graph work — no scans,
-            # no rollups, no node checks, no counter changes.
-            for size in range(1, start_size):
-                survivors = nodes_from_json(survivors_by_size[str(size)])
-                if size < len(qi):
-                    graph = graph_generation(survivors, graph, qi)
+            # The next candidate graph depends only on the last completed
+            # iteration's survivors: pure graph work, no scans, no rollups,
+            # no node checks, no counter changes.
+            survivors = nodes_from_json(survivors_by_size[str(start_size - 1)])
+            graph = graph_generation(survivors, qi)
 
     pool = BatchMaterializer(problem, execution)
     try:
@@ -355,7 +354,7 @@ def run_incognito(
                 with obs.span(
                     "incognito.graph_generation", subset_size=size + 1
                 ):
-                    graph = graph_generation(survivors, graph, qi)
+                    graph = graph_generation(survivors, qi)
     finally:
         pool.close()
     stats.elapsed_seconds = base_elapsed + time.perf_counter() - started

@@ -49,6 +49,11 @@ class PreparedTable:
         missing = [name for name in quasi_identifier if name not in hierarchies]
         if missing:
             raise ValueError(f"no hierarchy for quasi-identifier attributes {missing}")
+        repeated = sorted(
+            {name for name in quasi_identifier if quasi_identifier.count(name) > 1}
+        )
+        if repeated:
+            raise ValueError(f"quasi-identifier repeats attributes {repeated}")
         self._table = table
         self._qi = tuple(quasi_identifier)
         self._compiled: dict[str, CompiledHierarchy] = {}

@@ -10,15 +10,11 @@
   node/edge graph of the Incognito algorithm, exportable to the relational
   nodes/edges representation of Figure 6.
 * :mod:`~repro.lattice.generation` — the a-priori graph-generation step
-  (join phase, prune phase with a hash tree, edge generation) of
-  Section 3.1.2.
-* :class:`~repro.lattice.hashtree.SubsetHashTree` — the Apriori-style hash
-  tree used by the prune phase.
+  of Section 3.1.2: join, a set-membership prune, and one-step edges.
 """
 
 from repro.lattice.generation import graph_generation, initial_graph
 from repro.lattice.graph import CandidateGraph
-from repro.lattice.hashtree import SubsetHashTree
 from repro.lattice.lattice import GeneralizationLattice
 from repro.lattice.node import LatticeNode
 
@@ -26,7 +22,6 @@ __all__ = [
     "CandidateGraph",
     "GeneralizationLattice",
     "LatticeNode",
-    "SubsetHashTree",
     "graph_generation",
     "initial_graph",
 ]

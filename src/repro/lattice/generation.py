@@ -1,28 +1,33 @@
 """A-priori candidate graph generation (paper Section 3.1.2).
 
 Each Incognito iteration ends by constructing the next iteration's candidate
-graph from the surviving (k-anonymous) nodes ``S_i`` and edges ``E_i``:
+graph from the surviving (k-anonymous) nodes ``S_i``:
 
 1. **Join phase** — pair up survivors agreeing on their first i-1
    (dimension, index) components with the i-th dimension of one strictly
    below the other's (a fixed global attribute order avoids duplicates),
-   producing (i+1)-attribute candidates and recording the two parents.
+   producing (i+1)-attribute candidates.
 2. **Prune phase** — drop candidates having any i-attribute projection that
-   did not survive, using an Apriori hash tree
-   (:class:`repro.lattice.hashtree.SubsetHashTree`).
-3. **Edge generation** — derive candidate direct-generalization edges from
-   the parents and ``E_i`` via the three parent-edge patterns of the paper's
-   SQL, then subtract edges implied by a two-edge composition (the EXCEPT
-   clause).
+   did not survive: a membership test against a plain set of survivors
+   (the paper uses an Apriori hash tree for the same test).
+3. **Edge generation** — link each candidate p to every candidate q that
+   is p with one attribute raised by one level.
+
+The paper derives edges from the two join parents with three SQL patterns
+and removes implied edges with an ``EXCEPT``.  Every ``S_i`` the search
+produces is upward-closed (a node survives iff it passed or was marked, and
+marks propagate to direct generalizations), hence so is every candidate
+set, and on an upward-closed set those patterns yield exactly the one-step
+edges built here.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from repro.lattice.graph import CandidateGraph
-from repro.lattice.hashtree import SubsetHashTree
 from repro.lattice.node import LatticeNode
 
 
@@ -58,13 +63,8 @@ def _ordered(node: LatticeNode, rank: Mapping[str, int]) -> LatticeNode:
 
 def join_phase(
     survivors: Sequence[LatticeNode], order: Sequence[str]
-) -> list[tuple[LatticeNode, LatticeNode, LatticeNode]]:
-    """Pair survivors into (i+1)-attribute candidates.
-
-    Returns ``(candidate, parent1, parent2)`` triples.  ``parent1`` is the
-    candidate minus its last attribute, ``parent2`` the candidate minus its
-    second-to-last — exactly the two rows the paper's self-join combines.
-    """
+) -> list[LatticeNode]:
+    """Pair survivors into (i+1)-attribute candidates."""
     rank = {name: position for position, name in enumerate(order)}
     normalised = [_ordered(node, rank) for node in survivors]
     by_prefix: dict[tuple, list[LatticeNode]] = defaultdict(list)
@@ -72,7 +72,7 @@ def join_phase(
         prefix = tuple(zip(node.attributes[:-1], node.levels[:-1]))
         by_prefix[prefix].append(node)
 
-    triples: list[tuple[LatticeNode, LatticeNode, LatticeNode]] = []
+    candidates: list[LatticeNode] = []
     for group in by_prefix.values():
         group = sorted(
             group, key=lambda node: (rank[node.attributes[-1]], node.levels[-1])
@@ -86,104 +86,59 @@ def join_phase(
                     p.attributes + (q.attributes[-1],),
                     p.levels + (q.levels[-1],),
                 )
-                triples.append((candidate, p, q))
-    return triples
+                candidates.append(candidate)
+    return candidates
 
 
 def prune_phase(
-    triples: Sequence[tuple[LatticeNode, LatticeNode, LatticeNode]],
-    survivors: Sequence[LatticeNode],
-) -> list[tuple[LatticeNode, LatticeNode, LatticeNode]]:
-    """Keep candidates whose every i-attribute projection survived."""
-    tree = SubsetHashTree(survivors)
-    kept = []
-    for candidate, parent1, parent2 in triples:
-        if tree.contains_all_subsets(candidate, candidate.size - 1):
-            kept.append((candidate, parent1, parent2))
-    return kept
+    candidates: Sequence[LatticeNode], survivors: Sequence[LatticeNode]
+) -> list[LatticeNode]:
+    """Keep candidates whose every i-attribute projection survived.
 
-
-def edge_generation(
-    graph: CandidateGraph,
-    parent_pairs: Mapping[LatticeNode, tuple[int, int]],
-    previous: CandidateGraph,
-) -> None:
-    """Populate ``graph``'s edges from parent relationships (in place).
-
-    ``parent_pairs`` maps each candidate to the *previous-graph ids* of its
-    two parents.  An edge p → q is a candidate when one of the paper's three
-    patterns holds over the previous edge set E_i:
-
-    * parent1(p) → parent1(q) ∈ E_i  and  parent2(p) → parent2(q) ∈ E_i
-    * parent1(p) → parent1(q) ∈ E_i  and  parent2(p) =  parent2(q)
-    * parent2(p) → parent2(q) ∈ E_i  and  parent1(p) =  parent1(q)
-
-    Candidate edges implied by composing two candidate edges are then
-    removed (the SQL EXCEPT) — they would be implied generalizations
-    "separated by a single node".
+    Survivors are keyed by their (attribute, level) item set, so attribute
+    order does not matter.
     """
-    by_parents: dict[tuple[int, int], LatticeNode] = {
-        parents: candidate for candidate, parents in parent_pairs.items()
-    }
-    successors: dict[int, list[int]] = defaultdict(list)
-    for start, end in previous.edges():
-        successors[previous.id_of(start)].append(previous.id_of(end))
+    survived = {frozenset(node.items()) for node in survivors}
+    return [
+        candidate
+        for candidate in candidates
+        if all(
+            frozenset(items) in survived
+            for items in combinations(candidate.items(), candidate.size - 1)
+        )
+    ]
 
-    candidate_edges: set[tuple[LatticeNode, LatticeNode]] = set()
-    for p, (p1, p2) in parent_pairs.items():
-        for q1 in successors.get(p1, ()):
-            # pattern 2: parent1 steps, parent2 equal
-            q = by_parents.get((q1, p2))
-            if q is not None:
-                candidate_edges.add((p, q))
-            # pattern 1: both parents step
-            for q2 in successors.get(p2, ()):
-                q = by_parents.get((q1, q2))
-                if q is not None:
-                    candidate_edges.add((p, q))
-        for q2 in successors.get(p2, ()):
-            # pattern 3: parent2 steps, parent1 equal
-            q = by_parents.get((p1, q2))
-            if q is not None:
-                candidate_edges.add((p, q))
 
-    # EXCEPT: drop edges implied by a two-edge composition.
-    heads: dict[LatticeNode, set[LatticeNode]] = defaultdict(set)
-    for start, end in candidate_edges:
-        heads[start].add(end)
-    implied = {
-        (start, final)
-        for start, middles in heads.items()
-        for middle in middles
-        for final in heads.get(middle, ())
-    }
-    for start, end in sorted(
-        candidate_edges - implied, key=lambda e: (e[0].sort_key(), e[1].sort_key())
-    ):
+def edge_generation(graph: CandidateGraph) -> None:
+    """Add every one-attribute, one-level edge between ``graph``'s nodes.
+
+    Edges are inserted in ``(start, end)`` sort-key order, which fixes the
+    order of each node's direct generalizations and so the search's BFS.
+    """
+    by_key = {(node.attributes, node.levels): node for node in graph}
+    edges = []
+    for (attributes, levels), start in by_key.items():
+        for position, level in enumerate(levels):
+            raised = levels[:position] + (level + 1,) + levels[position + 1:]
+            end = by_key.get((attributes, raised))
+            if end is not None:
+                edges.append((start, end))
+    edges.sort(key=lambda edge: (edge[0].sort_key(), edge[1].sort_key()))
+    for start, end in edges:
         graph.add_edge(start, end)
 
 
 def graph_generation(
-    survivors: Sequence[LatticeNode],
-    previous: CandidateGraph,
-    order: Sequence[str],
+    survivors: Sequence[LatticeNode], order: Sequence[str]
 ) -> CandidateGraph:
     """Run join, prune, and edge generation; return C_{i+1}/E_{i+1}.
 
     ``survivors`` are the k-anonymous nodes of the previous iteration (S_i,
-    all the same subset size); ``previous`` is that iteration's candidate
-    graph (provides ids and E_i); ``order`` is the global attribute order.
+    all the same subset size); ``order`` is the global attribute order.
     """
-    triples = join_phase(survivors, order)
-    triples = prune_phase(triples, survivors)
-
+    candidates = prune_phase(join_phase(survivors, order), survivors)
     graph = CandidateGraph()
-    parent_pairs: dict[LatticeNode, tuple[int, int]] = {}
-    for candidate, parent1, parent2 in sorted(
-        triples, key=lambda t: t[0].sort_key()
-    ):
-        parents = (previous.id_of(parent1), previous.id_of(parent2))
-        graph.add_node(candidate, parents)
-        parent_pairs[candidate] = parents
-    edge_generation(graph, parent_pairs, previous)
+    for candidate in sorted(candidates, key=LatticeNode.sort_key):
+        graph.add_node(candidate)
+    edge_generation(graph)
     return graph

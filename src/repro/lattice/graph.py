@@ -22,9 +22,7 @@ class CandidateGraph:
     """A set of candidate nodes plus direct-generalization edges.
 
     Node ids are assigned in insertion order starting at 1 (matching the
-    paper's Figure 6 numbering).  ``parents[node]`` optionally records the
-    two nodes of the previous iteration whose join produced this node —
-    the raw material of the edge-generation phase.
+    paper's Figure 6 numbering).
     """
 
     def __init__(self) -> None:
@@ -32,14 +30,11 @@ class CandidateGraph:
         self._ids: dict[LatticeNode, int] = {}
         self._out: dict[int, list[int]] = defaultdict(list)
         self._in: dict[int, list[int]] = defaultdict(list)
-        self._parents: dict[int, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_node(
-        self, node: LatticeNode, parents: tuple[int, int] | None = None
-    ) -> int:
+    def add_node(self, node: LatticeNode) -> int:
         """Insert ``node`` (idempotent); return its id."""
         existing = self._ids.get(node)
         if existing is not None:
@@ -47,8 +42,6 @@ class CandidateGraph:
         node_id = len(self._nodes) + 1
         self._nodes.append(node)
         self._ids[node] = node_id
-        if parents is not None:
-            self._parents[node_id] = parents
         return node_id
 
     def add_edge(self, start: LatticeNode | int, end: LatticeNode | int) -> None:
@@ -82,10 +75,6 @@ class CandidateGraph:
 
     def node_of(self, node_id: int) -> LatticeNode:
         return self._nodes[node_id - 1]
-
-    def parents_of(self, node: LatticeNode | int) -> tuple[int, int] | None:
-        node_id = node if isinstance(node, int) else self.id_of(node)
-        return self._parents.get(node_id)
 
     def edges(self) -> Iterator[tuple[LatticeNode, LatticeNode]]:
         for start_id, ends in sorted(self._out.items()):

@@ -3,8 +3,9 @@
 A :class:`LatticeNode` names a subset of the quasi-identifier attributes and
 assigns each a generalization level — e.g. ``⟨S1, Z0⟩`` from Figure 3 is
 ``LatticeNode(("Sex", "Zipcode"), (1, 0))``.  Nodes are immutable, hashable
-value objects ordered by (height, attributes, levels) so breadth-first
-queues sorted by height are deterministic.
+value objects.  They define no ``<``; sort them with
+``key=LatticeNode.sort_key`` — (height, attributes, levels) — which keeps
+breadth-first queues and candidate graphs deterministic.
 """
 
 from __future__ import annotations

@@ -108,11 +108,13 @@ def _builtin_problem(target: str, params: dict[str, str]) -> "PreparedTable":
 
     rows = _int_param(params, "rows")
     qi_size = _int_param(params, "qi")
+    # Without ``qi=`` the dataset's own default (every attribute) applies.
+    options: dict[str, int] = {} if qi_size is None else {"qi_size": qi_size}
     name = target.lower()
     if name == "adults":
-        return adults_problem(rows or 45_222, qi_size=qi_size)
+        return adults_problem(rows or 45_222, **options)
     if name == "landsend":
-        return landsend_problem(rows or 200_000, qi_size=qi_size)
+        return landsend_problem(rows or 200_000, **options)
     if name == "patients":
         return patients_problem()
     raise ConnectorError(

@@ -123,6 +123,15 @@ class JobSpec:
             )
         if not isinstance(self.tenant, str) or not self.tenant:
             raise JobValidationError("tenant must be a non-empty string")
+        if self.qi is not None:
+            if not isinstance(self.qi, (list, tuple)) or not all(
+                isinstance(name, str) for name in self.qi
+            ):
+                raise JobValidationError(
+                    f"qi must be a list of attribute names or null, got {self.qi!r}"
+                )
+            if len(set(self.qi)) != len(self.qi):
+                raise JobValidationError(f"qi repeats attributes: {list(self.qi)!r}")
 
     def to_json(self) -> dict[str, Any]:
         data = asdict(self)
@@ -141,7 +150,7 @@ class JobSpec:
         return cls(
             **{
                 **data,
-                "qi": tuple(qi) if qi is not None else None,
+                "qi": tuple(qi) if isinstance(qi, list) else qi,
             }
         )
 

@@ -23,6 +23,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="no hierarchy"):
             PreparedTable(patients_table(), {}, ["Sex"])
 
+    @pytest.mark.parametrize(
+        "qi", [["Sex", "Sex"], ["Sex", "Zipcode", "Sex"]]
+    )
+    def test_repeated_qi_attribute_rejected(self, qi):
+        with pytest.raises(ValueError, match=r"repeats attributes \['Sex'\]"):
+            PreparedTable(patients_table(), patients_hierarchies(), qi)
+
     def test_missing_column_rejected(self):
         with pytest.raises(KeyError):
             PreparedTable(

@@ -44,12 +44,6 @@ class TestBasics:
         assert sz((1, 2)) in graph
         assert LatticeNode(("Sex",), (0,)) not in graph
 
-    def test_parents_recorded(self):
-        graph = CandidateGraph()
-        graph.add_node(sz((0, 0)), parents=(3, 7))
-        assert graph.parents_of(sz((0, 0))) == (3, 7)
-        assert graph.parents_of(1) == (3, 7)
-
 
 class TestEdges:
     def test_add_edge_deduplicates(self):

@@ -6,6 +6,8 @@ import sqlite3
 
 import pytest
 
+from repro.datasets.adults import ADULTS_QI
+from repro.datasets.landsend import LANDSEND_QI
 from repro.service.connectors import (
     ConnectorError,
     describe_connectors,
@@ -189,6 +191,15 @@ class TestBuiltinParams:
     def test_bad_parameters_are_errors(self, ref):
         with pytest.raises(ConnectorError):
             load_problem(JobSpec(dataset=ref, k=2))
+
+    @pytest.mark.parametrize("name, full_qi", [
+        ("adults", ADULTS_QI),
+        ("landsend", LANDSEND_QI),
+    ])
+    def test_missing_qi_param_means_every_attribute(self, name, full_qi):
+        problem = load_problem(JobSpec(dataset=f"builtin:{name}?rows=2000", k=2))
+        assert problem.quasi_identifier == tuple(full_qi)
+        assert problem.num_rows == 2000
 
     def test_load_table_refuses_builtin(self):
         with pytest.raises(ConnectorError):

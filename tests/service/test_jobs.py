@@ -50,6 +50,10 @@ class TestSpecValidation:
             {"deadline_seconds": 0},
             {"deadline_seconds": -2.0},
             {"tenant": ""},
+            {"qi": ("age", "age")},
+            {"qi": ("age", "sex", "age")},
+            {"qi": "age"},
+            {"qi": ("age", 3)},
         ],
     )
     def test_malformed_fields_are_rejected(self, overrides):
@@ -70,6 +74,11 @@ class TestSpecJson:
 
     def test_qi_serialises_as_list(self):
         assert valid_spec(qi=("age",)).to_json()["qi"] == ["age"]
+
+    def test_string_qi_is_not_split_into_letters(self):
+        spec = JobSpec.from_json({"dataset": "adults", "k": 2, "qi": "age"})
+        with pytest.raises(JobValidationError, match="qi must be a list"):
+            spec.validate()
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(JobValidationError, match="retries"):

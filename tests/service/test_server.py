@@ -125,6 +125,7 @@ class TestSubmissionErrors:
             for document in (
                 {"dataset": "builtin:adults", "k": 0},
                 {"dataset": "builtin:adults", "k": 2, "bogus": True},
+                {"dataset": "builtin:adults", "k": 2, "qi": ["age", "age"]},
                 {"k": 2},
             ):
                 status, body = live.client.submit(document)
