@@ -19,6 +19,7 @@ frequency sets through one instrumented chokepoint.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -186,13 +187,22 @@ def generalized_columns(
 
     The one place base-table codes become node-level codes for a frequency
     set: :func:`scan_rows` groups them, and the suppression step of
-    :func:`repro.core.generalize.apply_generalization` reuses them.
+    :func:`repro.core.generalize.apply_generalization` reuses them.  A
+    whole-table range reads the problem's column memo
+    (:meth:`~repro.core.problem.PreparedTable.generalized_column`); any
+    other range generalizes its own rows and leaves the memo untouched, so
+    chunked, shard and delta scans keep their per-range memory bound.
     """
     num_rows = problem.num_rows
     if not 0 <= start <= stop <= num_rows:
         raise ValueError(
             f"row range [{start}, {stop}) out of bounds for {num_rows} rows"
         )
+    if start == 0 and stop == num_rows:
+        return [
+            problem.generalized_column(attribute, level)
+            for attribute, level in node.items()
+        ]
     return [
         problem.hierarchy(attribute).generalize_codes(
             problem.table.column(attribute).codes[start:stop], level
@@ -238,20 +248,20 @@ def check_k_anonymity(
 
     This is the paper's SQL definition evaluated directly —
     ``SELECT COUNT(*) GROUP BY quasi_identifier`` with every count >= k —
-    used by tests and examples to validate algorithm outputs without
-    trusting any algorithm machinery.
+    used by tests, examples, the model wrappers and the CLI to validate
+    algorithm outputs without trusting any algorithm machinery.  It counts
+    the zipped QI code tuples with a :class:`collections.Counter`, so it
+    shares no code with the frequency-set kernel it verifies.
     """
-    from repro.relational.groupby import group_by_count
-
     if table.num_rows == 0:
         # Same vacuous-truth semantics as FrequencySet.is_k_anonymous: an
         # empty relation satisfies k-anonymity for every k.
         return True
-    result = group_by_count(table, list(quasi_identifier))
+    columns = [table.column(name).codes.tolist() for name in quasi_identifier]
+    counts = Counter(zip(*columns)).values()
     if max_suppression == 0:
-        return result.min_count() >= k
-    small = result.counts < k
-    return int(result.counts[small].sum()) <= max_suppression
+        return min(counts) >= k
+    return sum(count for count in counts if count < k) <= max_suppression
 
 
 class FrequencyEvaluator:

@@ -50,6 +50,19 @@ from repro.resilience.checkpoint import (
 )
 
 
+def _boundary_from_json(
+    state: dict, problem: PreparedTable
+) -> dict[LatticeNode, FrequencySet]:
+    """A checkpoint's boundary sets by node; ``CheckpointError`` if invalid."""
+    return {
+        fs.node: fs
+        for fs in (
+            frequency_set_from_json(item, problem)
+            for item in state.get("boundary", [])
+        )
+    }
+
+
 def bottom_up_search(
     problem: PreparedTable,
     k: int,
@@ -91,7 +104,11 @@ def bottom_up_search(
             "fingerprint": problem_fingerprint(problem),
         }
         if resume:
-            state = store.load_matching(header)
+            # A boundary set that is not a valid frequency set of this
+            # problem makes the file corrupt: quarantine, then ``.prev``.
+            state = store.load_matching(
+                header, lambda state: _boundary_from_json(state, problem)
+            )
 
     if state is not None and state.get("completed"):
         stats = SearchStats(CounterSet.from_snapshot(state["counters"]))
@@ -121,13 +138,7 @@ def bottom_up_search(
         stats.counters = CounterSet.from_snapshot(state["counters"])
         anonymous = set(nodes_from_json(state["anonymous"]))
         marked = set(nodes_from_json(state["marked"]))
-        freq_cache = {
-            fs.node: fs
-            for fs in (
-                frequency_set_from_json(item, problem)
-                for item in state.get("boundary", [])
-            )
-        }
+        freq_cache = _boundary_from_json(state, problem)
         start_height = int(state["height_done"]) + 1
         base_elapsed = float(state.get("elapsed_seconds", 0.0))
     # Known upfront and recorded by overwrite, so checkpoints taken at any

@@ -6,16 +6,25 @@ the column's actual value dictionary.  Every algorithm takes a
 ``PreparedTable`` (plus ``k``); the compiled lookups make both "scan and
 group at level ℓ" and "roll a frequency set up a level" single fancy-index
 operations.
+
+Each problem also memoizes the whole-table generalized code column of every
+(attribute, level) it has scanned at (:meth:`PreparedTable.generalized_column`),
+the in-memory counterpart of the paper's per-attribute dimension tables:
+a column is generalized once per problem, and only the grouping runs per
+lattice node.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.hierarchy.base import CompiledHierarchy, Hierarchy
 from repro.hierarchy.dimension import dimension_table
 from repro.lattice.lattice import GeneralizationLattice
 from repro.lattice.node import LatticeNode
+from repro.relational.column import CODE_DTYPE
 from repro.relational.star import StarSchema
 from repro.relational.table import Table
 
@@ -70,6 +79,7 @@ class PreparedTable:
                 self._compiled[name] = hierarchy
             else:
                 self._compiled[name] = hierarchy.compile(column.values)
+        self._columns: dict[tuple[str, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # accessors
@@ -110,6 +120,37 @@ class PreparedTable:
                 f"(have {list(self._qi)})"
             ) from None
 
+    def generalized_column(self, attribute: str, level: int) -> np.ndarray:
+        """The whole table's ``attribute`` codes at ``level`` (read-only).
+
+        Level 0 is the base column's own code array.  Higher levels are
+        gathered once per problem and memoized, in the narrowest unsigned
+        dtype that holds the level's cardinality (uint8 up to 256 values,
+        uint16 up to 65,536, else the int32 code dtype), so the memo costs
+        at most rows x 23 bytes on the full Lands End QI.  Only whole-table
+        scans read it; ranged scans generalize their own rows.
+        """
+        key = (attribute, level)
+        column = self._columns.get(key)
+        if column is not None:
+            return column
+        hierarchy = self.hierarchy(attribute)
+        codes = self._table.column(attribute).codes
+        if level == 0:
+            return codes
+        cardinality = hierarchy.cardinality(level)
+        if cardinality <= 1 << 8:
+            dtype = np.uint8
+        elif cardinality <= 1 << 16:
+            dtype = np.uint16
+        else:
+            dtype = CODE_DTYPE
+        column = hierarchy.level_lookup(level).astype(dtype)[codes]
+        column.setflags(write=False)
+        # Thread workers may race to fill one key; the gathers are equal,
+        # and setdefault hands every caller the one that was stored.
+        return self._columns.setdefault(key, column)
+
     def height(self, attribute: str) -> int:
         return self.hierarchy(attribute).height
 
@@ -143,7 +184,14 @@ class PreparedTable:
         if missing:
             raise ValueError(f"no hierarchy compiled for {missing}")
         clone._compiled = self._compiled
+        clone._columns = self._columns
         return clone
+
+    def __getstate__(self) -> dict:
+        """Pickle without the column memo: a receiver rebuilds its own."""
+        state = self.__dict__.copy()
+        state["_columns"] = {}
+        return state
 
     def star_schema(self) -> StarSchema:
         """Materialise the Figure 4 star schema (dimension table per QI)."""

@@ -36,8 +36,6 @@ import warnings
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from repro import obs
 from repro.core.binary_search import samarati_binary_search
 from repro.core.bottomup import bottom_up_search
@@ -55,11 +53,13 @@ from repro.resilience.checkpoint import (
     CHECKPOINT_FORMAT,
     ChainMatch,
     ChainMismatchWarning,
+    CheckpointError,
     CheckpointStore,
     node_from_json,
     node_to_json,
     problem_fingerprint,
     segment_fingerprint,
+    validated_frequency_arrays,
 )
 
 #: The incremental-capable search algorithms, by CLI tag (with aliases).
@@ -303,17 +303,24 @@ class IncrementalSession:
             warnings.warn(match.describe(), ChainMismatchWarning)
         valid_rows = self.dataset.offsets[match.matched]
         valid_offsets = set(self.dataset.offsets[: match.matched + 1])
-        from repro.relational.column import CODE_DTYPE
-
+        problem = self.dataset.problem
         for item in state.get("pieces", []):
             covered = int(item["covered_rows"])
             if covered > valid_rows or covered not in valid_offsets:
                 continue
             node = node_from_json(item["node"])
-            key_codes = np.asarray(
-                item["key_codes"], dtype=CODE_DTYPE
-            ).reshape(-1, len(node.attributes))
-            counts = np.asarray(item["counts"], dtype=np.int64)
+            try:
+                key_codes, counts = validated_frequency_arrays(
+                    problem, node, item["key_codes"], item["counts"], covered
+                )
+            except CheckpointError as exc:
+                # Never merge a piece that is not a frequency set of this
+                # prefix: its node falls back to a full scan.
+                warnings.warn(
+                    f"skipping the stored piece for {node}: {exc}",
+                    ChainMismatchWarning,
+                )
+                continue
             self.context.install(
                 DeltaPiece(node, covered, key_codes, counts)
             )

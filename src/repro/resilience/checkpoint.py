@@ -34,7 +34,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -227,16 +227,99 @@ def frequency_set_to_json(frequency_set) -> dict[str, Any]:
     }
 
 
-def frequency_set_from_json(data: dict[str, Any], problem):
-    """Rebuild a frequency set persisted with :func:`frequency_set_to_json`."""
-    from repro.core.anonymity import FrequencySet
+def _integer_array(values: Any, what: str) -> np.ndarray:
+    """``values`` as an int64 array; :class:`CheckpointError` if not integers."""
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nested lists
+        raise CheckpointError(f"{what} are not a rectangular array: {exc}") from None
+    if array.size == 0:
+        return array.astype(np.int64)
+    if array.dtype.kind not in "iu":
+        raise CheckpointError(f"{what} are not integers (dtype {array.dtype})")
+    return array.astype(np.int64)
+
+
+def validated_frequency_arrays(
+    problem: "PreparedTable",
+    node: "LatticeNode",
+    key_codes: Any,
+    counts: Any,
+    covered_rows: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode a persisted frequency set's arrays, or raise :class:`CheckpointError`.
+
+    The one check behind every frequency set read back from disk (run
+    checkpoints and incremental chain pieces).  It requires a
+    ``(groups, node.size)`` key matrix, every code inside its column's
+    level domain ``[0, cardinality)``, ``groups`` counts of at least 1
+    each, and, for a chain piece covering ``covered_rows`` rows, counts
+    summing to exactly that.  A set that passes merges and rolls up like
+    a freshly scanned one; one that fails would silently move counts
+    between groups.
+    """
     from repro.relational.column import CODE_DTYPE
 
-    node = node_from_json(data["node"])
-    key_codes = np.asarray(data["key_codes"], dtype=CODE_DTYPE).reshape(
-        -1, len(node.attributes)
+    keys = _integer_array(key_codes, "key codes")
+    counts_array = _integer_array(counts, "counts")
+    size = len(node.attributes)
+    if keys.size == 0:
+        keys = keys.reshape(0, size)
+    if keys.ndim != 2 or keys.shape[1] != size:
+        raise CheckpointError(
+            f"key codes of shape {keys.shape} do not fit {size}-attribute "
+            f"node {node}"
+        )
+    if counts_array.shape != (keys.shape[0],):
+        raise CheckpointError(
+            f"{counts_array.size} counts for {keys.shape[0]} groups at {node}"
+        )
+    for position, (attribute, level) in enumerate(node.items()):
+        try:
+            hierarchy = problem.hierarchy(attribute)
+        except KeyError:
+            raise CheckpointError(
+                f"{node} names {attribute!r}, not a quasi-identifier attribute"
+            ) from None
+        if level > hierarchy.height:
+            raise CheckpointError(
+                f"{node} puts {attribute!r} at level {level}, above its "
+                f"height {hierarchy.height}"
+            )
+        column = keys[:, position]
+        cardinality = hierarchy.cardinality(level)
+        if column.size and (column.min() < 0 or column.max() >= cardinality):
+            raise CheckpointError(
+                f"{attribute!r} codes at {node} leave the level-{level} "
+                f"domain [0, {cardinality})"
+            )
+    if counts_array.size and counts_array.min() < 1:
+        raise CheckpointError(f"a group count at {node} is below 1")
+    if covered_rows is not None and int(counts_array.sum()) != covered_rows:
+        raise CheckpointError(
+            f"counts at {node} sum to {int(counts_array.sum())}, the piece "
+            f"covers {covered_rows} rows"
+        )
+    return keys.astype(CODE_DTYPE), counts_array
+
+
+def frequency_set_from_json(data: dict[str, Any], problem):
+    """Rebuild a frequency set persisted with :func:`frequency_set_to_json`.
+
+    Raises :class:`CheckpointError` when the persisted arrays do not form
+    a valid frequency set of ``problem`` (see
+    :func:`validated_frequency_arrays`).
+    """
+    from repro.core.anonymity import FrequencySet
+
+    try:
+        node = node_from_json(data["node"])
+        raw_keys, raw_counts = data["key_codes"], data["counts"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed frequency set: {exc!r}") from None
+    key_codes, counts = validated_frequency_arrays(
+        problem, node, raw_keys, raw_counts
     )
-    counts = np.asarray(data["counts"], dtype=np.int64)
     return FrequencySet(node, key_codes, counts, problem)
 
 
@@ -245,6 +328,10 @@ def frequency_set_from_json(data: dict[str, Any], problem):
 # ----------------------------------------------------------------------
 #: Internal sentinel: a checkpoint file exists but cannot be trusted.
 _CORRUPT = object()
+
+
+def _header_matches(state: dict[str, Any], header: dict[str, Any]) -> bool:
+    return all(state.get(key) == expected for key, expected in header.items())
 
 
 class CheckpointStore:
@@ -276,18 +363,22 @@ class CheckpointStore:
         """Where :meth:`save` rotates the outgoing snapshot."""
         return self.path.with_name(self.path.name + ".prev")
 
-    def load(self) -> dict[str, Any] | None:
+    def load(
+        self, validate: Callable[[dict[str, Any]], None] | None = None
+    ) -> dict[str, Any] | None:
         """The persisted state, or None when no usable checkpoint exists.
 
         A corrupt current file is quarantined and the previous level's
         rotated snapshot is served instead; if that is also missing or
         corrupt, the result is None — "start fresh", never an exception.
+        A file counts as corrupt when it does not parse, or when
+        ``validate`` raises :class:`CheckpointError` on its state.
         """
         self.fell_back = False
-        state = self._read_state(self.path)
+        state = self._read_state(self.path, validate)
         if state is _CORRUPT:
             self._quarantine(self.path)
-            state = self._read_state(self.previous_path)
+            state = self._read_state(self.previous_path, validate)
             if state is _CORRUPT:
                 self._quarantine(self.previous_path)
                 state = None
@@ -295,7 +386,9 @@ class CheckpointStore:
                 self.fell_back = True
         return state  # type: ignore[return-value]
 
-    def _read_state(self, path: Path):
+    def _read_state(
+        self, path: Path, validate: Callable[[dict[str, Any]], None] | None
+    ):
         """Parse one checkpoint file: dict, None (absent), or _CORRUPT."""
         try:
             text = path.read_text()
@@ -305,7 +398,14 @@ class CheckpointStore:
             state = json.loads(text)
         except json.JSONDecodeError:
             return _CORRUPT
-        return state if isinstance(state, dict) else _CORRUPT
+        if not isinstance(state, dict):
+            return _CORRUPT
+        if validate is not None:
+            try:
+                validate(state)
+            except CheckpointError:
+                return _CORRUPT
+        return state
 
     def _quarantine(self, path: Path) -> None:
         """Move a bad file aside (never deleted: it is evidence)."""
@@ -316,19 +416,28 @@ class CheckpointStore:
             return
         self.quarantined.append(target)
 
-    def load_matching(self, header: dict[str, Any]) -> dict[str, Any] | None:
+    def load_matching(
+        self,
+        header: dict[str, Any],
+        validate: Callable[[dict[str, Any]], None] | None = None,
+    ) -> dict[str, Any] | None:
         """The state if every ``header`` field matches, else None.
 
         A header mismatch (different algorithm, k, fingerprint, or format)
         is not an error — it means the checkpoint belongs to a different
         run and the caller should start fresh (the next save overwrites).
+        ``validate`` runs on a matching state only; raising
+        :class:`CheckpointError` there makes :meth:`load` treat the file
+        as corrupt (quarantine, then ``.prev``).
         """
-        state = self.load()
-        if state is None:
+
+        def check(state: dict[str, Any]) -> None:
+            if validate is not None and _header_matches(state, header):
+                validate(state)
+
+        state = self.load(check)
+        if state is None or not _header_matches(state, header):
             return None
-        for key, expected in header.items():
-            if state.get(key) != expected:
-                return None
         return state
 
     def load_chain(
@@ -347,11 +456,8 @@ class CheckpointStore:
         of silently throwing the whole checkpoint away.
         """
         state = self.load()
-        if state is None:
+        if state is None or not _header_matches(state, header):
             return None, None
-        for key, expected in header.items():
-            if state.get(key) != expected:
-                return None, None
         stored = state.get("chain")
         if not isinstance(stored, list):
             raise CheckpointError(

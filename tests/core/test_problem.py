@@ -1,11 +1,24 @@
 """Tests for PreparedTable."""
 
+import pickle
+import sys
+import threading
+
+import numpy as np
 import pytest
 
+from repro.core.anonymity import (
+    FrequencyEvaluator,
+    compute_frequency_set,
+    scan_rows,
+)
+from repro.core.outofcore import compute_frequency_set_chunked
 from repro.core.problem import PreparedTable
 from repro.datasets.patients import patients_hierarchies, patients_table
 from repro.hierarchy import SuppressionHierarchy
+from repro.hierarchy.base import CompiledHierarchy
 from repro.relational.table import Table
+from tests.conftest import make_random_problem
 
 
 class TestConstruction:
@@ -86,3 +99,132 @@ class TestAccessors:
     def test_repr(self):
         problem = PreparedTable(patients_table(), patients_hierarchies())
         assert "rows=6" in repr(problem)
+
+
+def all_nodes(problem):
+    lattice = problem.lattice()
+    return [
+        node
+        for height in range(lattice.max_height + 1)
+        for node in lattice.nodes_at_height(height)
+    ]
+
+
+def wide_problem(cardinality: int) -> PreparedTable:
+    """One attribute whose level 1 keeps all ``cardinality`` base values."""
+    identity = np.arange(cardinality)
+    compiled = CompiledHierarchy(
+        SuppressionHierarchy(),
+        [identity, identity, np.zeros(cardinality)],
+        [list(range(cardinality)), list(range(cardinality)), ["*"]],
+    )
+    table = Table.from_columns({"a": list(range(cardinality))})
+    return PreparedTable(table, {"a": compiled})
+
+
+class TestColumnMemo:
+    """The per-(attribute, level) generalized column memo."""
+
+    def test_columns_equal_generalize_codes_and_are_read_only(self):
+        problem = make_random_problem(3, num_rows=40, num_attributes=4)
+        for name in problem.quasi_identifier:
+            hierarchy = problem.hierarchy(name)
+            base = problem.table.column(name).codes
+            for level in range(hierarchy.height + 1):
+                column = problem.generalized_column(name, level)
+                assert not column.flags.writeable
+                np.testing.assert_array_equal(
+                    column, hierarchy.generalize_codes(base, level)
+                )
+                assert problem.generalized_column(name, level) is column
+
+    def test_level_zero_is_the_base_column_itself(self):
+        problem = make_random_problem(4, num_rows=30)
+        name = problem.quasi_identifier[0]
+        assert problem.generalized_column(name, 0) is problem.table.column(name).codes
+        assert problem._columns == {}
+
+    @pytest.mark.parametrize(
+        "cardinality, dtype",
+        [(256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.int32)],
+    )
+    def test_narrowest_dtype_holding_the_level(self, cardinality, dtype):
+        problem = wide_problem(cardinality)
+        column = problem.generalized_column("a", 1)
+        assert column.dtype == dtype
+        np.testing.assert_array_equal(column, np.arange(cardinality))
+        assert problem.generalized_column("a", 2).dtype == np.uint8
+
+    def test_whole_table_scans_fill_the_memo(self):
+        problem = make_random_problem(5, num_rows=30, num_attributes=3)
+        top = problem.top_node()
+        compute_frequency_set(problem, top)
+        assert set(problem._columns) == {
+            (name, level) for name, level in top.items() if level > 0
+        }
+
+    def test_ranged_chunked_and_delta_scans_leave_the_memo_empty(self):
+        problem = make_random_problem(6, num_rows=40, num_attributes=3)
+        evaluator = FrequencyEvaluator(problem)
+        for node in all_nodes(problem):
+            full = scan_rows(problem, node, 0, 40)
+            problem._columns.clear()
+            evaluator.scan_range(node, 5, 30)
+            prefix = scan_rows(problem, node, 0, 25)
+            merged = evaluator.delta_scan(node, prefix.key_codes, prefix.counts, 25)
+            chunked = compute_frequency_set_chunked(problem, node, chunk_rows=7)
+            assert problem._columns == {}
+            for result in (merged, chunked):
+                np.testing.assert_array_equal(result.key_codes, full.key_codes)
+                np.testing.assert_array_equal(result.counts, full.counts)
+
+    def test_quasi_identifier_views_share_the_memo(self):
+        problem = make_random_problem(7, num_rows=30, num_attributes=3)
+        name = problem.quasi_identifier[-1]
+        view = problem.with_quasi_identifier([name])
+        height = problem.height(name)
+        assert view.generalized_column(name, height) is (
+            problem.generalized_column(name, height)
+        )
+
+    def test_pickled_problem_starts_empty_and_scans_identically(self):
+        problem = make_random_problem(8, num_rows=40, num_attributes=3)
+        nodes = all_nodes(problem)
+        expected = [compute_frequency_set(problem, node) for node in nodes]
+        assert problem._columns
+        clone = pickle.loads(pickle.dumps(problem))
+        assert clone._columns == {}
+        for node, original in zip(nodes, expected):
+            result = compute_frequency_set(clone, node)
+            np.testing.assert_array_equal(result.key_codes, original.key_codes)
+            np.testing.assert_array_equal(result.counts, original.counts)
+        assert problem._columns is not clone._columns
+
+    def test_concurrent_fills_agree_on_one_column_per_key(self):
+        problem = make_random_problem(9, num_rows=2_000, num_attributes=4)
+        keys = [
+            (name, level)
+            for name in problem.quasi_identifier
+            for level in range(1, problem.height(name) + 1)
+        ]
+        seen: list[dict] = []
+        start = threading.Barrier(8)
+
+        def fill() -> None:
+            start.wait(timeout=10)
+            seen.append({key: problem.generalized_column(*key) for key in keys})
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        for key in keys:
+            assert all(columns[key] is problem._columns[key] for columns in seen)

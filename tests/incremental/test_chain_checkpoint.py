@@ -15,14 +15,18 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.anonymity import compute_frequency_set
 from repro.core.problem import PreparedTable
+from repro.datasets.adults import adults_problem
 from repro.incremental import IncrementalSession
+from repro.lattice.node import LatticeNode
 from repro.resilience import (
     ChainMatch,
     ChainMismatchWarning,
     CheckpointError,
     CheckpointStore,
     match_chain,
+    node_from_json,
     segment_fingerprint,
 )
 from tests.conftest import make_random_problem
@@ -236,3 +240,74 @@ class TestSessionFallback:
         assert scratch_comparable(replay.stats) == scratch_comparable(
             scratch.stats
         )
+
+
+def _raise_code(item):
+    item["key_codes"][0][0] += 10**6
+
+
+def _negative_code(item):
+    item["key_codes"][0][0] = -1
+
+
+def _count_sum_off(item):
+    item["counts"][0] += 1
+
+
+def _ragged_keys(item):
+    item["key_codes"][0] = item["key_codes"][0][:-1]
+
+
+class TestInvalidPieces:
+    """A stored piece that is not a frequency set of its prefix is skipped.
+
+    The header and fingerprint chain of a re-saved chain file still match,
+    so only the piece check stands between an out-of-domain code and a
+    merge that silently moves counts into another group.
+    """
+
+    NODE = LatticeNode(("gender", "marital_status"), (0, 0))
+
+    @pytest.mark.parametrize(
+        "corrupt", [_raise_code, _negative_code, _count_sum_off, _ragged_keys]
+    )
+    def test_invalid_piece_warns_and_is_rescanned(self, tmp_path, corrupt):
+        problem = adults_problem(3_000, qi_size=4)
+        qi = problem.quasi_identifier
+        hierarchies = {name: problem.hierarchy(name).source for name in qi}
+        base = PreparedTable(problem.table.take(np.arange(2_000)), hierarchies, qi)
+        delta = problem.table.take(np.arange(2_000, 3_000))
+        first = IncrementalSession(base, 2, checkpoint_dir=tmp_path)
+        first.run()
+
+        store = CheckpointStore(first._chain_path())
+        state = store.load()
+        [item] = [
+            piece
+            for piece in state["pieces"]
+            if node_from_json(piece["node"]) == self.NODE
+        ]
+        corrupt(item)
+        store.save(state)
+
+        second = IncrementalSession(base, 2, checkpoint_dir=tmp_path)
+        second.append(delta)
+        with pytest.warns(ChainMismatchWarning, match="skipping the stored piece"):
+            result = second.run()
+        assert second.chain_report is not None
+        assert second.chain_report.matched == 1  # the chain itself is intact
+
+        scratch, scratch_problem = from_scratch(second, 2, "basic")
+        assert result.anonymous_nodes == scratch.anonymous_nodes
+        expected = compute_frequency_set(scratch_problem, self.NODE)
+        captured = second.context.lookup(self.NODE)
+        np.testing.assert_array_equal(captured.key_codes, expected.key_codes)
+        np.testing.assert_array_equal(captured.counts, expected.counts)
+        # The rescanned set, not the corrupt one, is what gets persisted.
+        [saved] = [
+            piece
+            for piece in CheckpointStore(first._chain_path()).load()["pieces"]
+            if node_from_json(piece["node"]) == self.NODE
+        ]
+        assert saved["key_codes"] == expected.key_codes.tolist()
+        assert saved["counts"] == expected.counts.tolist()

@@ -1,8 +1,13 @@
 """Tests for repro.relational.groupby — the frequency-set primitive."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.relational import groupby
 from repro.relational.groupby import group_by_codes, group_by_count
 from repro.relational.table import Table
 
@@ -158,3 +163,135 @@ class TestGroupByCodes:
         assert dense is False
         _, counts = group_by_codes(arrays, radices)
         assert counts.sum() == 60
+
+
+class TestShapeChecks:
+    """Ragged input raises instead of broadcasting into wrong groups."""
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            group_by_codes(
+                [np.array([0, 1], dtype=np.int32), np.array([0], dtype=np.int32)],
+                [2, 2],
+            )
+
+    def test_radix_count_must_match_column_count(self):
+        column = np.array([0, 1, 1], dtype=np.int32)
+        with pytest.raises(ValueError, match="radices"):
+            group_by_codes([column, column], [2])
+        with pytest.raises(ValueError, match="radices"):
+            group_by_codes([column], [2, 2])
+
+    def test_weights_must_match_row_count(self):
+        column = np.array([0, 1, 1], dtype=np.int32)
+        with pytest.raises(ValueError, match="weights"):
+            group_by_codes([column], [2], np.array([1, 2], dtype=np.int64))
+
+
+def counter_oracle(code_arrays, weights=None):
+    """``(key_codes, counts)`` from a Counter over the zipped code tuples."""
+    tally: Counter = Counter()
+    seen: set = set()
+    rows = zip(*(codes.tolist() for codes in code_arrays))
+    for row, key in enumerate(rows):
+        seen.add(key)
+        tally[key] += 1 if weights is None else int(weights[row])
+    keys = sorted(seen)
+    key_codes = np.array(keys, dtype=np.int64).reshape(len(keys), len(code_arrays))
+    return key_codes, np.array([tally[key] for key in keys], dtype=np.int64)
+
+
+#: The dtypes a code column reaches the kernel in: the narrow memo
+#: columns and the int32 base codes.
+CODE_DTYPES = (np.uint8, np.uint16, np.int32)
+
+
+@st.composite
+def grouping_inputs(draw, max_radix=12, max_columns=4):
+    radices = draw(
+        st.lists(st.integers(1, max_radix), min_size=1, max_size=max_columns)
+    )
+    num_rows = draw(st.integers(1, 60))
+    columns = [
+        np.array(
+            draw(st.lists(st.integers(0, radix - 1), min_size=num_rows, max_size=num_rows)),
+            dtype=draw(
+                st.sampled_from(
+                    [d for d in CODE_DTYPES if np.iinfo(d).max >= radix - 1]
+                )
+            ),
+        )
+        for radix in radices
+    ]
+    weights = draw(
+        st.none()
+        | st.lists(st.integers(0, 5), min_size=num_rows, max_size=num_rows).map(
+            lambda values: np.array(values, dtype=np.int64)
+        )
+    )
+    return columns, radices, weights
+
+
+def assert_matches_oracle(columns, radices, weights):
+    key_codes, counts = group_by_codes(columns, radices, weights)
+    expected_keys, expected_counts = counter_oracle(columns, weights)
+    assert key_codes.dtype == np.int32 and counts.dtype == np.int64
+    np.testing.assert_array_equal(key_codes, expected_keys)
+    np.testing.assert_array_equal(counts, expected_counts)
+
+
+class TestCounterOracle:
+    """Every counting path equals a Counter: order, codes and counts."""
+
+    @settings(max_examples=150)
+    @given(grouping_inputs())
+    def test_random_codes_match_counter(self, inputs):
+        assert_matches_oracle(*inputs)
+
+    @settings(max_examples=60)
+    @given(grouping_inputs(max_radix=200_000, max_columns=3))
+    def test_sparse_key_spaces_match_counter(self, inputs):
+        # Key spaces far above the dense threshold take the sort path.
+        assert_matches_oracle(*inputs)
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_key_space_at_the_dense_threshold(self, offset, weighted):
+        """Just inside the bincount bound and just past it agree."""
+        num_rows = 5_000
+        space = groupby._BINCOUNT_ROWS_FACTOR * num_rows + groupby._BINCOUNT_FLOOR
+        radices = [space + offset]
+        rng = np.random.default_rng(offset)
+        columns = [rng.integers(0, radices[0], num_rows).astype(np.int32)]
+        weights = rng.integers(0, 3, num_rows) if weighted else None
+        assert_matches_oracle(columns, radices, weights)
+
+    @pytest.mark.parametrize(
+        "radices", [[1, 2**31 - 1], [1, 2**31], [2, 2**30], [3, 2**31]]
+    )
+    def test_key_space_at_the_int32_boundary(self, radices):
+        rng = np.random.default_rng(6)
+        columns = [
+            rng.integers(0, radix, 50).astype(np.int64) for radix in radices
+        ]
+        assert_matches_oracle(columns, radices, None)
+
+    def test_zero_weight_groups_are_kept(self):
+        column = np.array([2, 0, 2, 1], dtype=np.int32)
+        weights = np.array([0, 3, 0, 1], dtype=np.int64)
+        key_codes, counts = group_by_codes([column], [3], weights)
+        assert key_codes[:, 0].tolist() == [0, 1, 2]
+        assert counts.tolist() == [3, 1, 0]
+
+    def test_overflow_fallback_matches_counter(self):
+        rng = np.random.default_rng(5)
+        columns = [rng.integers(0, 6, 80).astype(np.int32) for _ in range(3)]
+        radices = [2**31, 2**31, 2**31]  # product beyond _DENSE_KEY_LIMIT
+        assert groupby._key_space(radices) is None
+        assert_matches_oracle(columns, radices, None)
+        assert_matches_oracle(columns, radices, rng.integers(0, 4, 80))
+
+    def test_negative_code_raises_on_the_dense_count(self):
+        column = np.array([0, -1, 1], dtype=np.int32)
+        with pytest.raises(ValueError):
+            group_by_codes([column], [2])

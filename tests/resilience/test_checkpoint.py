@@ -18,6 +18,7 @@ from repro.core.binary_search import samarati_binary_search
 from repro.core.bottomup import bottom_up_search
 from repro.core.incognito import basic_incognito
 from repro.resilience import (
+    CheckpointError,
     CheckpointStore,
     FaultPlan,
     frequency_set_from_json,
@@ -322,3 +323,54 @@ class TestCheckpointUnderFaults:
         )
         assert resumed.anonymous_nodes == baseline.anonymous_nodes
         assert resumed.stats.table_scans == baseline.stats.table_scans
+
+
+class TestInvalidBoundarySet:
+    """A boundary set that is not a frequency set of the problem is corrupt.
+
+    Its header and fingerprint still match, so without the set check a
+    resume would roll the next height up from counts filed under the
+    wrong groups.  Instead the file takes the corrupt-file path:
+    quarantine, then the previous level's ``.prev`` snapshot.
+    """
+
+    @pytest.mark.parametrize(
+        "field, value", [("key_codes", 10**6), ("key_codes", -1), ("counts", 0)]
+    )
+    def test_resume_quarantines_and_falls_back(self, tmp_path, field, value):
+        problem = make_random_problem(17, num_rows=40, num_attributes=3)
+        baseline = bottom_up_search(problem, 2)
+        path = tmp_path / "run.ckpt.json"
+        with pytest.raises(Killed):
+            bottom_up_search(problem, 2, checkpoint=BombStore(path, 2))
+        state = json.loads(path.read_text())
+        boundary = state["boundary"][0]
+        assert boundary["counts"], "the height-1 snapshot needs a boundary set"
+        if field == "key_codes":
+            boundary["key_codes"][0][0] = value
+        else:
+            boundary["counts"][0] = value
+        path.write_text(json.dumps(state))
+
+        store = CheckpointStore(path)
+        resumed = bottom_up_search(problem, 2, checkpoint=store, resume=True)
+        assert [p.name for p in store.quarantined] == ["run.ckpt.json.quarantined"]
+        assert resumed.details["resumed_heights"] == 1  # from the .prev snapshot
+        assert resumed.anonymous_nodes == baseline.anonymous_nodes
+        assert comparable_counters(resumed.stats) == (
+            comparable_counters(baseline.stats)
+        )
+
+    def test_out_of_domain_code_raises_checkpoint_error(self):
+        from repro.core.anonymity import compute_frequency_set
+
+        problem = tiny_numeric_problem()
+        data = frequency_set_to_json(
+            compute_frequency_set(problem, problem.bottom_node())
+        )
+        data["key_codes"][0][1] = problem.hierarchy("sex").cardinality(0)
+        with pytest.raises(CheckpointError, match="domain"):
+            frequency_set_from_json(data, problem)
+        data["key_codes"][0] = data["key_codes"][0][:1]
+        with pytest.raises(CheckpointError):
+            frequency_set_from_json(data, problem)
