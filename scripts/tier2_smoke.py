@@ -5,7 +5,9 @@ validate the emitted ``BENCH_incognito.json``.
 Exercises the whole stack — datasets, relational engine, all six search
 algorithms, the bench harness, trace spans, and the JSON export — then
 structurally validates the document and sanity-checks the counters the
-paper's evaluation depends on.
+paper's evaluation depends on.  A second quick run with ``--workers 2``
+and no ``--parallel-mode`` checks the default parallel backend: it must
+be ``threads`` and must account exactly like the serial run.
 
 Usage::
 
@@ -173,6 +175,81 @@ def smoke(out_dir: Path) -> list[str]:
         problems.extend(check_folded_export(spans))
 
     problems.extend(check_metrics_dump(metrics_path))
+    problems.extend(check_default_backend(out_dir / "workers2", runs))
+    return problems
+
+
+def _parity_counters(run: dict) -> dict:
+    """The counters a parallel run must share with the serial run.
+
+    Binary search is the one documented divergence: a parallel run
+    evaluates probe heights in blocks of ``workers`` nodes and may scan a
+    few speculative nodes, so only its ``nodes.*`` counters (and its
+    answer) must match.
+    """
+    prefixes = (
+        ("nodes.",)
+        if run.get("algorithm") == "Binary Search"
+        else ("nodes.", "frequency.")
+    )
+    return {
+        key: value
+        for key, value in run.get("raw_counters", {}).items()
+        if key.startswith(prefixes)
+    }
+
+
+def check_default_backend(out_dir: Path, serial_runs: list[dict]) -> list[str]:
+    """``--workers 2`` alone must run on threads with serial parity."""
+    json_path = out_dir / BENCH_FILENAME
+    code = run_figures.main(
+        ["--quick", "--workers", "2", "--out", str(out_dir),
+         "--json", str(json_path)]
+    )
+    if code != 0:
+        return [f"run_figures --quick --workers 2 exited {code}"]
+    document = json.loads(json_path.read_text())
+    problems = [
+        f"workers=2 schema: {error}"
+        for error in validate_bench_document(document)
+    ]
+    config = document.get("config", {})
+    if (config.get("parallel_mode"), config.get("workers")) != ("threads", 2):
+        problems.append(
+            "--workers 2 did not default to threads x 2: "
+            f"parallel_mode={config.get('parallel_mode')!r}, "
+            f"workers={config.get('workers')!r}"
+        )
+    parallel_runs = {
+        (r.get("figure"), r.get("algorithm"), r.get("x_value")): r
+        for r in document.get("runs", [])
+    }
+    for serial in serial_runs:
+        key = (serial.get("figure"), serial.get("algorithm"), serial.get("x_value"))
+        where = f"workers=2 {key[1]}@{key[2]} ({key[0]})"
+        run = parallel_runs.get(key)
+        if run is None:
+            problems.append(f"{where}: missing")
+            continue
+        if key[0] in ("fig10", "incremental"):
+            # These runs use the region default: they must have dispatched
+            # batches, and no fault may have demoted them off threads.
+            raw = run.get("raw_counters", {})
+            if raw.get("parallel.tasks", 0) <= 0:
+                problems.append(f"{where}: dispatched no parallel tasks")
+            faults = sorted(k for k in raw if k.startswith("fault."))
+            if faults:
+                problems.append(f"{where}: fault counters {faults}")
+        if run.get("solutions") != serial.get("solutions"):
+            problems.append(
+                f"{where}: {run.get('solutions')} solutions, "
+                f"serial found {serial.get('solutions')}"
+            )
+        if _parity_counters(run) != _parity_counters(serial):
+            problems.append(
+                f"{where}: structural counters diverge from serial: "
+                f"{_parity_counters(run)} vs {_parity_counters(serial)}"
+            )
     return problems
 
 

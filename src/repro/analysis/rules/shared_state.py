@@ -4,8 +4,8 @@ The plan-in-parent contract (DESIGN.md §6) is what makes ``--workers N``
 trustworthy: the parent plans every job and merges every delta; workers
 execute plans into *private* state.  A worker function that reads or
 writes module-level mutable state re-introduces scheduling dependence —
-under threads it is a data race, under processes it is silent divergence
-between parent and worker copies of the module.
+under threads it is a data race, under shard worker processes it is
+silent divergence between parent and worker copies of the module.
 
 This rule finds every function dispatched to a pool — passed to
 ``<executor>.submit(fn, ...)`` or installed as a pool ``initializer=`` —
@@ -112,7 +112,7 @@ class SharedStateRule(Rule):
     rationale = (
         "the determinism contract plans in the parent and executes in "
         "workers against private state; shared module state is a race "
-        "under threads and silent divergence under processes"
+        "under threads and silent divergence under shard processes"
     )
 
     def run(self, project: Project) -> list[Finding]:

@@ -56,7 +56,7 @@ from repro.core.fscache import FrequencySetCache, use_cache
 from repro.core.incognito import basic_incognito
 from repro.core.problem import PreparedTable
 from repro.core.superroots import superroots_incognito
-from repro.parallel import ExecutionConfig, use_execution
+from repro.parallel import MODES, ExecutionConfig, use_execution
 from repro.resilience import CheckpointStore, FaultPlan, atomic_write_text
 from repro.hierarchy.spec import hierarchies_from_spec
 from repro.relational.csvio import read_csv, write_csv
@@ -97,6 +97,75 @@ def _fault_plan(text: str) -> FaultPlan:
         return FaultPlan.from_spec(text)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from error
+
+
+def add_execution_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the six flags :func:`execution_from_args` reads."""
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="evaluate each lattice level's nodes on this many workers "
+        "(1 = serial; results and nodes.* counters are identical either way)",
+    )
+    parser.add_argument(
+        "--parallel-mode",
+        choices=[mode for mode in MODES if mode != "serial"],
+        default="threads",
+        help="worker backend when --workers > 1 (default: threads, which "
+        "share the parent's table and generalized-column memo; shards "
+        "fan each table scan out over shared-memory row shards on a "
+        "process pool)",
+    )
+    parser.add_argument(
+        "--shard-rows",
+        type=int,
+        default=None,
+        metavar="N",
+        help="rows per shard under --parallel-mode shards (default: the "
+        "package default width; affects execution granularity only, "
+        "never the results)",
+    )
+    parser.add_argument(
+        "--chunk-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="supervision timeout per parallel chunk; a chunk exceeding it "
+        "is abandoned and retried (default: wait forever)",
+    )
+    parser.add_argument(
+        "--max-retries",
+        type=int,
+        default=3,
+        metavar="N",
+        help="failed-chunk retries before falling back to serial execution "
+        "of that chunk in the parent (default: 3)",
+    )
+    parser.add_argument(
+        "--inject-faults",
+        type=_fault_plan,
+        default=None,
+        metavar="SPEC",
+        help="deterministically inject worker failures for resilience "
+        "testing, e.g. 'crash=0.2,timeout=0.1,seed=7' "
+        "(keys: crash, timeout, slow, poison, memory, seed, hold, delay); "
+        "results are bit-identical to a fault-free run",
+    )
+
+
+def execution_from_args(args: argparse.Namespace) -> ExecutionConfig:
+    """The :class:`ExecutionConfig` the :func:`add_execution_arguments`
+    flags describe; raises ``ValueError`` on invalid values (say,
+    ``--workers 0``), which callers report through ``parser.error``."""
+    return ExecutionConfig(
+        mode=args.parallel_mode,
+        workers=args.workers,
+        chunk_timeout=args.chunk_timeout,
+        max_retries=args.max_retries,
+        faults=args.inject_faults,
+        shard_rows=args.shard_rows,
+    )
 
 
 def cmd_anonymize(args: argparse.Namespace) -> int:
@@ -367,30 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the command under cProfile and print the top hotspots",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="evaluate each lattice level's nodes on this many workers "
-        "(1 = serial; results are identical either way)",
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=["threads", "processes", "shards"],
-        default="processes",
-        help="worker backend when --workers > 1 (default: processes; "
-        "threads avoid process start-up cost on small tables; shards "
-        "fan each table scan out over shared-memory row shards)",
-    )
-    parser.add_argument(
-        "--shard-rows",
-        type=int,
-        default=None,
-        metavar="N",
-        help="rows per shard under --parallel-mode shards (default: the "
-        "package default width; affects execution granularity only, "
-        "never the results)",
-    )
-    parser.add_argument(
         "--cache-mb",
         type=int,
         default=0,
@@ -398,32 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the frequency-set cache with this byte budget "
         "(0 = off); repeat probes become cache hits instead of table scans",
     )
-    parser.add_argument(
-        "--chunk-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="supervision timeout per parallel chunk; a chunk exceeding it "
-        "is abandoned and retried (default: wait forever)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="failed-chunk retries before falling back to serial execution "
-        "of that chunk in the parent (default: 3)",
-    )
-    parser.add_argument(
-        "--inject-faults",
-        type=_fault_plan,
-        default=None,
-        metavar="SPEC",
-        help="deterministically inject worker failures for resilience "
-        "testing, e.g. 'crash=0.2,timeout=0.1,seed=7' "
-        "(keys: crash, timeout, slow, poison, memory, seed, hold, delay); "
-        "results are bit-identical to a fault-free run",
-    )
+    add_execution_arguments(parser)
     commands = parser.add_subparsers(dest="command", required=True)
 
     anonymize = commands.add_parser(
@@ -671,23 +691,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else obs.get_tracer()
     )
     try:
-        execution = ExecutionConfig.from_workers(
-            args.workers, args.parallel_mode
-        )
-        if (
-            args.chunk_timeout is not None
-            or args.max_retries != 3
-            or args.inject_faults is not None
-            or args.shard_rows is not None
-        ):
-            execution = ExecutionConfig(
-                mode=execution.mode,
-                workers=execution.workers,
-                chunk_timeout=args.chunk_timeout,
-                max_retries=args.max_retries,
-                faults=args.inject_faults,
-                shard_rows=args.shard_rows,
-            )
+        execution = execution_from_args(args)
         cache = (
             FrequencySetCache(args.cache_mb * 1024 * 1024)
             if args.cache_mb > 0

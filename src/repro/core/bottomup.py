@@ -18,7 +18,7 @@ Two variants, matching the paper's experimental lines:
 Like Incognito's inner search, the walk is level-synchronous — marks and
 rollup sources only flow upward — so each height's unmarked nodes form one
 independent batch handed to a :class:`~repro.parallel.BatchMaterializer`
-(serial, threads, or processes; identical results and structural counters
+(serial, threads, or shards; identical results and structural counters
 in every mode).  An attached
 :class:`~repro.core.fscache.FrequencySetCache` serves repeat nodes across
 runs and seeds other algorithms (this is the cross-algorithm reuse the

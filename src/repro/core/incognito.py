@@ -20,11 +20,12 @@ only ever flow upward across level boundaries, so all unmarked nodes at
 one height are mutually independent.  The engine therefore collects each
 height's work into a batch and hands it to a
 :class:`~repro.parallel.BatchMaterializer`, which executes it serially, on
-threads, or on a process pool — with bit-identical results and identical
-structural counters in every mode (see :mod:`repro.parallel.evaluator` for
-the determinism contract).  Within a level, entries are processed in
-insertion order (roots first, then children in parent order), which is
-exactly the order the previous heap-based engine popped them in.
+threads, or shard-parallel on a process pool — with bit-identical results
+and identical structural counters in every mode (see
+:mod:`repro.parallel.evaluator` for the determinism contract).  Within a
+level, entries are processed in insertion order (roots first, then
+children in parent order), which is exactly the order the previous
+heap-based engine popped them in.
 
 The engine is shared by the variants, which differ only in how *root*
 frequency sets are obtained — a provider answers

@@ -187,12 +187,6 @@ class PreparedTable:
         clone._columns = self._columns
         return clone
 
-    def __getstate__(self) -> dict:
-        """Pickle without the column memo: a receiver rebuilds its own."""
-        state = self.__dict__.copy()
-        state["_columns"] = {}
-        return state
-
     def star_schema(self) -> StarSchema:
         """Materialise the Figure 4 star schema (dimension table per QI)."""
         dimensions = {

@@ -4,13 +4,15 @@ Nodes at the same lattice level are independent given the frequency sets
 of the level below, so each level's unmarked nodes can be materialised
 concurrently.  This package provides:
 
-* :class:`~repro.parallel.config.ExecutionConfig` — backend (``serial`` /
-  ``threads`` / ``processes``) and worker count, with a region-default
-  mechanism (:func:`use_execution`) for fixed-signature callers;
+* :class:`~repro.parallel.config.ExecutionConfig` — backend (one of
+  :data:`MODES`: ``serial`` / ``threads`` / ``shards``) and worker count,
+  with a region-default mechanism (:func:`use_execution`) for
+  fixed-signature callers;
 * :class:`~repro.parallel.evaluator.BatchMaterializer` — the batch engine
   the search algorithms hand one level's requests to;
-* :mod:`~repro.parallel.worker` — the process-pool worker side
-  (problem shipped once per worker, arrays + stats deltas back).
+* :mod:`~repro.parallel.worker` — the worker side: one chunk executor
+  shared by thread workers, ``shards`` process workers (which attach the
+  table from shared memory) and the serial fallback.
 
 Serial and parallel runs of the same algorithm produce identical result
 sets and identical structural (``nodes.*`` / ``frequency.*``) counters;
@@ -20,7 +22,7 @@ see :mod:`repro.parallel.evaluator` for the determinism contract and
 The batch path is *supervised* (see :mod:`repro.resilience`): chunks are
 awaited with a per-chunk timeout, retried with bounded exponential
 backoff, and survive pool breakage through a rebuild-once-then-demote
-ladder (``processes → threads → serial``) — all without perturbing the
+ladder (``shards → threads → serial``) — all without perturbing the
 determinism contract.  Failures are accounted under ``fault.*`` and
 ``retry.*``.
 """

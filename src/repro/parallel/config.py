@@ -1,13 +1,13 @@
 """Execution configuration for the parallel frequency-set evaluator.
 
 An :class:`ExecutionConfig` names the backend (``serial`` — the
-zero-dependency fallback; ``threads`` — cheap for small tables where
-process start-up and shipping dominate; ``processes`` — true parallelism
-for big scans; ``shards`` — processes over shared-memory row shards, the
-zero-copy mode for full-scale tables, see :mod:`repro.shard`) and the
-worker count.  It is immutable and normalising:
-one worker is always the serial config, so ``ExecutionConfig.from_workers``
-can be fed a CLI ``--workers`` value directly.
+zero-dependency fallback; ``threads`` — the ``--workers N`` default,
+sharing the parent's problem and its generalized-column memo;
+``shards`` — processes over shared-memory row shards, see
+:mod:`repro.shard`) and the worker count.  It is immutable and
+normalising: one worker is always the serial config, so a CLI
+``--workers`` value can be passed to the constructor directly
+(:func:`repro.cli.execution_from_args` does exactly that).
 
 Since the resilience layer landed it also carries the supervision policy
 of the batch path: a per-chunk ``chunk_timeout``, the bounded-retry
@@ -33,11 +33,10 @@ from typing import Iterator
 
 from repro.resilience.faults import FaultPlan
 
-#: Recognised execution backends.  The supervised batch path demotes a
-#: failing run down the ladder: shards → threads → serial and
-#: processes → threads → serial (shards demote to threads, not processes,
-#: because threads share the parent's memory and need no re-shipping).
-MODES = ("serial", "threads", "processes", "shards")
+#: Recognised execution backends — the one list every CLI, job spec and
+#: config validates against.  The supervised batch path demotes a failing
+#: run down the ladder shards → threads → serial.
+MODES = ("serial", "threads", "shards")
 
 
 @dataclass(frozen=True)
@@ -131,21 +130,6 @@ class ExecutionConfig:
         if self.faults is not None and self.faults.timeout_rate > 0:
             return max(0.1, self.faults.hold_seconds / 4.0)
         return None
-
-    @classmethod
-    def from_workers(
-        cls, workers: int | None, mode: str | None = None
-    ) -> "ExecutionConfig":
-        """Build from CLI-style inputs; ``workers`` absent/1 is serial.
-
-        A zero or negative worker count is a user error, not a request
-        for serial execution, and raises ``ValueError``.
-        """
-        if workers is None or workers == 1:
-            return cls()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return cls(mode=mode or "processes", workers=workers)
 
 
 #: Region default used when algorithms are called without explicit config.

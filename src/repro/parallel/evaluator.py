@@ -6,7 +6,7 @@ unmarked nodes at one lattice (or candidate-graph) height are independent
 set computed at a strictly lower height.  :class:`BatchMaterializer`
 exploits exactly that independence: the algorithm hands it one level's
 ``(node, rollup-source)`` requests, and it materialises them serially, on
-a thread pool, on a process pool, or shard-parallel over shared memory
+a thread pool, or shard-parallel on a process pool over shared memory
 (the ``shards`` mode), returning results in request order.
 
 The ``shards`` mode adds a second axis of parallelism for full-scale
@@ -42,7 +42,7 @@ exponential backoff and deterministic jitter, bounded by
 ``ExecutionConfig.max_retries``; a chunk that exhausts its retries is
 executed serially in the parent, which cannot fail.  Pool-level breakage
 (``BrokenProcessPool``) walks a graceful-degradation ladder: the pool is
-rebuilt once, then the run is demoted ``processes → threads → serial``.
+rebuilt once, then the run is demoted ``shards → threads → serial``.
 Because plans are fixed in the parent and exactly one successful
 execution per chunk is merged — crashed, timed-out, and poisoned
 attempts contribute neither results nor counter deltas — retried and
@@ -73,10 +73,10 @@ from repro.resilience.faults import InjectedWorkerCrash, PoisonedResultError
 #: A materialisation request: the node plus an optional rollup source.
 Request = "tuple[LatticeNode, FrequencySet | None]"
 
-#: Degradation ladder, in demotion order.  Shards demote straight to
-#: threads (not processes): threads share the parent's memory, so shard
-#: ranged-scan jobs keep running zero-copy with no pool re-shipping.
-_LADDER = {"shards": "threads", "processes": "threads", "threads": "serial"}
+#: Degradation ladder, in demotion order.  Shards demote to threads:
+#: threads share the parent's memory, so shard ranged-scan jobs keep
+#: running zero-copy with no pool re-shipping.
+_LADDER = {"shards": "threads", "threads": "serial"}
 
 
 def _split_chunks(items: list, pieces: int) -> list[list]:
@@ -104,7 +104,7 @@ def _jobs(chunk) -> list[tuple]:
 
 
 def _ship_chunk(chunk) -> list[tuple]:
-    """A chunk's jobs as picklable tuples for a process worker.
+    """A chunk's jobs as picklable tuples for a shard worker process.
 
     Rollup sources (:class:`FrequencySet`) are exploded to their node and
     two small arrays (:func:`repro.parallel.worker.run_chunk` rebuilds
@@ -242,21 +242,13 @@ class BatchMaterializer:
                     max_workers=self.execution.workers,
                     thread_name_prefix="repro-fs",
                 )
-            elif self._mode == "shards":
+            else:
                 from concurrent.futures import ProcessPoolExecutor
 
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.execution.workers,
                     initializer=worker_module.init_worker_shared,
                     initargs=(self._ensure_store().handle,),
-                )
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.execution.workers,
-                    initializer=worker_module.init_worker,
-                    initargs=(self.problem,),
                 )
         return self._executor
 
@@ -624,7 +616,7 @@ class BatchMaterializer:
     ) -> None:
         """Walk the ladder after pool breakage and re-dispatch pending work.
 
-        The first breakage of a process pool earns one rebuild
+        The first breakage of the shards process pool earns one rebuild
         (``fault.pool_rebuilds``); any further breakage — or breakage of a
         thread pool — demotes the whole run one rung
         (``fault.demotions``).  Chunks whose futures died with the pool
@@ -634,7 +626,7 @@ class BatchMaterializer:
         """
         counters = evaluator.stats.counters
         self._drop_executor(wait=False)
-        if self._mode in ("processes", "shards") and not self._pool_rebuilt:
+        if self._mode == "shards" and not self._pool_rebuilt:
             self._pool_rebuilt = True
             counters.incr("fault.pool_rebuilds")
         elif self._mode in _LADDER:

@@ -1,10 +1,15 @@
-"""Process-pool worker side of :mod:`repro.parallel`.
+"""Worker side of :mod:`repro.parallel`.
 
-A :class:`~concurrent.futures.ProcessPoolExecutor` worker is initialised
-exactly once with the prepared problem — the dictionary-encoded column
-arrays plus compiled hierarchy lookup tables — via :func:`init_worker`;
-after that, each :func:`run_chunk` call ships only lattice nodes and (for
-rollup jobs) the source set's two small arrays, never the base table.
+:func:`execute_chunk` runs one chunk of jobs; thread workers, ``shards``
+process workers and the supervised path's serial fallback all call it.
+
+A ``shards`` :class:`~concurrent.futures.ProcessPoolExecutor` worker is
+initialised exactly once by :func:`init_worker_shared` with a
+:class:`~repro.shard.shm.SharedProblemHandle`: it attaches the parent's
+shared-memory code arrays and installs the rebuilt problem via
+:func:`init_worker`.  After that, each :func:`run_chunk` call ships only
+lattice nodes, row ranges and (for rollup jobs) the source set's two
+small arrays, never the base table.
 
 Results come back as raw ``(key_codes, counts)`` array pairs together with
 the chunk's :class:`~repro.obs.counters.CounterSet` stats delta and its
@@ -30,13 +35,16 @@ if TYPE_CHECKING:
 
 #: The worker-resident problem, installed once per process by the pool
 #: initializer.  Module-global on purpose: executor task functions must be
-#: importable top-level callables, and the problem must not be re-pickled
+#: importable top-level callables, and the problem must not be rebuilt
 #: per task.
 _PROBLEM = None
 
 
 def init_worker(problem) -> None:
-    """Pool initializer: install the shipped problem in this process.
+    """Install ``problem`` as this worker process's resident problem.
+
+    Called by :func:`init_worker_shared` with the problem it attached
+    from shared memory.
 
     Also replaces the tracer: under the ``fork`` start method the worker
     inherits the parent's active tracer, and concurrent writes to an
@@ -48,9 +56,9 @@ def init_worker(problem) -> None:
     disabled and the only signal leaving a worker is the per-chunk
     counter delta, which the parent merges deterministically.
     """
-    # ra: RA003 -- sanctioned worker-resident state: the problem is shipped
-    # once via the pool initializer and is read-only thereafter; shipping it
-    # per-chunk would serialize the table on every submit.
+    # Sanctioned worker-resident state: the problem is attached once via
+    # the pool initializer and is read-only thereafter; rebuilding it per
+    # chunk would re-attach the table on every submit.
     global _PROBLEM
     _PROBLEM = problem
     import os
@@ -149,7 +157,7 @@ def execute_chunk(
 ) -> tuple[list, "CounterSet", "MetricSet"]:
     """Execute one chunk of ``(node, kind, payload)`` jobs on ``problem``.
 
-    Shared by thread workers, process workers (via :func:`run_chunk`) and
+    Shared by thread workers, shard workers (via :func:`run_chunk`) and
     the supervised path's serial fallback: each job goes through
     :meth:`~repro.core.anonymity.FrequencyEvaluator.execute_job` on a
     private evaluator, so the chunk's stats delta is bit-identical
@@ -206,7 +214,7 @@ def run_chunk(
     submitted_at: float | None = None,
     traceparent: str | None = None,
 ) -> tuple[list[tuple], "CounterSet", "MetricSet"]:
-    """Materialise one chunk of frequency-set jobs in a worker process.
+    """Materialise one chunk of frequency-set jobs in a shard worker process.
 
     ``jobs`` are :func:`execute_chunk` jobs as shipped by the parent: a
     rollup source arrives exploded to ``(source_node, key_codes, counts)``

@@ -33,8 +33,11 @@ them.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 from typing import Any
+
+from repro.parallel.config import MODES
 
 #: Job states (see the module docstring for the transition diagram).
 QUEUED = "queued"
@@ -55,7 +58,7 @@ ALL_STATES = frozenset({QUEUED, RUNNING}) | TERMINAL_STATES
 JOB_ALGORITHMS = ("basic", "superroots", "cube", "binary", "bottomup")
 
 #: Execution modes a job may request for its runner subprocess.
-JOB_MODES = ("serial", "threads", "processes", "shards")
+JOB_MODES = MODES
 
 
 class JobValidationError(ValueError):
@@ -102,6 +105,15 @@ class JobSpec:
         if not isinstance(self.workers, int) or self.workers < 1:
             raise JobValidationError(
                 f"workers must be an int >= 1, got {self.workers!r}"
+            )
+        # The runner starts up to ``workers`` threads or forks that many
+        # shard processes at its first batch, so the count is bounded by
+        # this host's CPUs: more workers than CPUs cannot run in parallel.
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise JobValidationError(
+                f"workers must be <= {cpus} (this host's CPU count), "
+                f"got {self.workers!r}"
             )
         if self.shard_rows is not None and (
             not isinstance(self.shard_rows, int) or self.shard_rows < 1

@@ -180,7 +180,7 @@ def _execution_region(spec: "JobSpec") -> Any:
 
     return use_execution(
         ExecutionConfig(
-            mode=spec.mode if spec.workers > 1 else "serial",
+            mode=spec.mode,
             workers=spec.workers,
             shard_rows=spec.shard_rows,
         )

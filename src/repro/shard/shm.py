@@ -1,14 +1,13 @@
 """Shared-memory backing for prepared tables (zero-copy shard evaluation).
 
-Process-pool evaluation previously shipped the whole
-:class:`~repro.core.problem.PreparedTable` — dictionary-encoded code
-arrays plus compiled hierarchies — to every worker through the pool
-initializer, paying one pickled copy of the base table per process.  At
-the paper's full Lands End scale (4,591,581 rows × 8 QI columns) that
-serialization tax dominates start-up and multiplies peak RSS by the
+Shipping the whole :class:`~repro.core.problem.PreparedTable` —
+dictionary-encoded code arrays plus compiled hierarchies — to every
+process worker would pay one pickled copy of the base table per process.
+At the paper's full Lands End scale (4,591,581 rows × 8 QI columns) that
+serialization tax would dominate start-up and multiply peak RSS by the
 worker count.
 
-This module removes the copies: the QI code arrays live in named
+This module avoids the copies: the QI code arrays live in named
 :mod:`multiprocessing.shared_memory` segments, and workers receive a
 small picklable :class:`SharedProblemHandle` — segment names, dtypes,
 shapes, dictionaries, compiled hierarchies — from which
@@ -141,8 +140,8 @@ class SharedTableStore:
     Two construction paths:
 
     * :meth:`from_problem` — copy an ordinary in-memory problem's QI code
-      arrays into fresh segments (one copy total, versus one per worker
-      on the pickle path);
+      arrays into fresh segments (one copy total, shared by every
+      worker);
     * :meth:`allocate` + :meth:`build_problem` — streaming builders (see
       :func:`repro.datasets.landsend.landsend_problem_shm`) fill the
       segments shard-by-shard and then wrap them, so the full table is

@@ -34,7 +34,8 @@ def test_src_tree_has_no_active_findings():
 def test_sanctioned_suppressions_are_present_and_justified():
     findings = analyze_paths([SRC])
     suppressed = [finding for finding in findings if finding.suppressed]
-    # The sanctioned sites: the worker-resident problem (write + read),
+    # The sanctioned sites: the worker-resident problem's read in
+    # run_chunk (its write sits one call below the shards initializer),
     # the atomic-write primitive's own temp-file open, and the tracer's
     # wall-clock anchor (the one deliberate time.time() that lets spans
     # from different processes stitch onto a shared clock).

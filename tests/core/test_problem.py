@@ -1,6 +1,5 @@
 """Tests for PreparedTable."""
 
-import pickle
 import sys
 import threading
 
@@ -186,19 +185,6 @@ class TestColumnMemo:
         assert view.generalized_column(name, height) is (
             problem.generalized_column(name, height)
         )
-
-    def test_pickled_problem_starts_empty_and_scans_identically(self):
-        problem = make_random_problem(8, num_rows=40, num_attributes=3)
-        nodes = all_nodes(problem)
-        expected = [compute_frequency_set(problem, node) for node in nodes]
-        assert problem._columns
-        clone = pickle.loads(pickle.dumps(problem))
-        assert clone._columns == {}
-        for node, original in zip(nodes, expected):
-            result = compute_frequency_set(clone, node)
-            np.testing.assert_array_equal(result.key_codes, original.key_codes)
-            np.testing.assert_array_equal(result.counts, original.counts)
-        assert problem._columns is not clone._columns
 
     def test_concurrent_fills_agree_on_one_column_per_key(self):
         problem = make_random_problem(9, num_rows=2_000, num_attributes=4)

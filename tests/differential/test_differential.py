@@ -106,12 +106,13 @@ def test_binary_search_finds_minimal_height(execution, cache, seed, k):
 
 
 def test_process_pool_matches_serial_exactly():
-    """Processes-mode runs are byte-identical to serial, counters included.
+    """Shards-mode runs on a process pool are byte-identical to serial,
+    counters included; small shards make every scan fan out.
 
     A dedicated seed-listed test (not hypothesis) because a process pool
     per generated example would dominate the suite's runtime.
     """
-    execution = ExecutionConfig(mode="processes", workers=2)
+    execution = ExecutionConfig(mode="shards", workers=2, shard_rows=8)
     for seed in (3, 11, 42):
         problem = make_random_problem(seed, num_rows=30)
         for k in (2, 3):
@@ -123,13 +124,13 @@ def test_process_pool_matches_serial_exactly():
                     key
                 ), key
             assert_dist_metrics_identical(
-                parallel, serial, f"processes seed={seed} k={k}"
+                parallel, serial, f"shards seed={seed} k={k}"
             )
 
 
 def test_worker_metric_merge_identical_across_modes():
     """Merged ``dist.*`` histograms are bit-identical serial vs threads vs
-    processes, and pool runs ship uniform ``worker.*`` telemetry.
+    shards, and pool runs ship uniform ``worker.*`` telemetry.
 
     The chunk payloads carry per-worker MetricSet deltas that the parent
     merges in submission order; because the merge is exact and the
@@ -138,16 +139,16 @@ def test_worker_metric_merge_identical_across_modes():
     have no chunks, hence no ``worker.*`` instruments, by construction.
     """
     threads = ExecutionConfig(mode="threads", workers=2)
-    processes = ExecutionConfig(mode="processes", workers=2)
+    shards = ExecutionConfig(mode="shards", workers=2)
     for seed in (3, 42):
         problem = make_random_problem(seed, num_rows=30)
         serial = basic_incognito(problem, 2)
         threaded = basic_incognito(problem, 2, execution=threads)
-        pooled = basic_incognito(problem, 2, execution=processes)
+        pooled = basic_incognito(problem, 2, execution=shards)
         assert_dist_metrics_identical(threaded, serial, f"threads seed={seed}")
-        assert_dist_metrics_identical(pooled, serial, f"processes seed={seed}")
+        assert_dist_metrics_identical(pooled, serial, f"shards seed={seed}")
         # Pool modes describe their chunks uniformly...
-        for result, mode in ((threaded, "threads"), (pooled, "processes")):
+        for result, mode in ((threaded, "threads"), (pooled, "shards")):
             workerish = result.stats.metrics.filtered("worker.")
             assert "worker.chunk_jobs" in workerish, mode
             assert "worker.chunk_seconds" in workerish, mode

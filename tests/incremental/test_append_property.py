@@ -8,10 +8,10 @@ run over the concatenated table — under every execution mode.
 
 Hypothesis drives the generated-table half (serial and threads modes,
 where per-example cost is small); fixed-seed parametrized cases cover the
-process-pool modes.  ``incremental.*`` counters are additionally asserted
-mode-independent: the plan (which nodes hit remembered prefixes, how many
-rows each delta scan covers) is decided parent-side, so serial, threads,
-processes, and shards must account identically.
+process-pool (shards) mode.  ``incremental.*`` counters are additionally
+asserted mode-independent: the plan (which nodes hit remembered prefixes,
+how many rows each delta scan covers) is decided parent-side, so serial,
+threads, and shards must account identically.
 """
 
 from __future__ import annotations
@@ -163,12 +163,11 @@ class TestAppendProperty:
 
 
 class TestExecutionModes:
-    """Fixed-seed coverage of the process-backed modes + mode independence."""
+    """Fixed-seed coverage of every execution mode + mode independence."""
 
     MODES = {
         "serial": None,
         "threads": ExecutionConfig(mode="threads", workers=2),
-        "processes": ExecutionConfig(mode="processes", workers=2),
         "shards": ExecutionConfig(mode="shards", workers=2, shard_rows=8),
     }
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
+from repro import cli
+from repro.cli import add_execution_arguments, execution_from_args
 from repro.core.anonymity import FrequencyEvaluator
 from repro.core.fscache import FrequencySetCache
 from repro.core.stats import SearchStats
@@ -17,6 +21,12 @@ from repro.parallel.evaluator import _split_chunks
 from tests.conftest import tiny_numeric_problem
 
 
+def execution_for(*argv: str) -> ExecutionConfig:
+    parser = argparse.ArgumentParser()
+    add_execution_arguments(parser)
+    return execution_from_args(parser.parse_args(argv))
+
+
 class TestExecutionConfig:
     def test_default_is_serial(self):
         config = ExecutionConfig()
@@ -24,23 +34,58 @@ class TestExecutionConfig:
         assert not config.is_parallel
 
     def test_single_worker_normalizes_to_serial(self):
-        config = ExecutionConfig(mode="processes", workers=1)
-        assert config.mode == "serial"
-        assert not config.is_parallel
+        for mode in ("threads", "shards"):
+            config = ExecutionConfig(mode=mode, workers=1)
+            assert config.mode == "serial"
+            assert not config.is_parallel
 
     def test_serial_normalizes_workers_to_one(self):
         assert ExecutionConfig(mode="serial", workers=8).workers == 1
 
-    def test_from_workers(self):
-        assert not ExecutionConfig.from_workers(None).is_parallel
-        assert not ExecutionConfig.from_workers(1).is_parallel
-        config = ExecutionConfig.from_workers(3)
-        assert config.mode == "processes" and config.workers == 3
-        assert ExecutionConfig.from_workers(2, "threads").mode == "threads"
+    def test_execution_from_args_defaults_to_threads(self):
+        assert not execution_for().is_parallel
+        assert not execution_for("--workers", "1").is_parallel
+        config = execution_for("--workers", "3")
+        assert config.mode == "threads" and config.workers == 3
+        shards = execution_for("--workers", "2", "--parallel-mode", "shards")
+        assert shards.mode == "shards" and shards.workers == 2
+
+    def test_execution_from_args_one_worker_is_serial(self):
+        config = execution_for("--workers", "1", "--parallel-mode", "shards")
+        assert config.mode == "serial" and config.workers == 1
+
+    def test_execution_from_args_carries_supervision_flags(self):
+        config = execution_for(
+            "--workers", "2",
+            "--shard-rows", "64",
+            "--chunk-timeout", "1.5",
+            "--max-retries", "1",
+            "--inject-faults", "crash=0.2,seed=7",
+        )
+        assert (config.shard_rows, config.chunk_timeout, config.max_retries) == (
+            64, 1.5, 1
+        )
+        assert config.faults is not None and config.faults.crash_rate == 0.2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--workers", "0"],
+            ["--workers", "2", "--parallel-mode", "processes"],
+            ["--workers", "2", "--parallel-mode", "serial"],
+        ],
+    )
+    def test_cli_rejects_bad_execution_flags(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            cli.main([*argv, "check", "unused.csv", "--qi", "a", "--k", "2"])
+        assert caught.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             ExecutionConfig(mode="fibers")
+        with pytest.raises(ValueError, match="mode must be one of"):
+            ExecutionConfig(mode="processes", workers=2)
         with pytest.raises(ValueError):
             ExecutionConfig(workers=0)
 
@@ -102,6 +147,7 @@ class TestBatchMaterializer:
         assert thread_eval.stats.parallel_workers == 2
 
     def test_process_batch_matches_serial(self):
+        """The shards process pool, with row shards small enough to fan out."""
         problem = tiny_numeric_problem()
         requests = self._requests(problem)
 
@@ -110,7 +156,7 @@ class TestBatchMaterializer:
             serial_sets = pool.materialize_batch(serial_eval, requests)
 
         process_eval = FrequencyEvaluator(problem, SearchStats())
-        config = ExecutionConfig(mode="processes", workers=2)
+        config = ExecutionConfig(mode="shards", workers=2, shard_rows=4)
         with BatchMaterializer(problem, config) as pool:
             process_sets = pool.materialize_batch(process_eval, requests)
 
@@ -147,9 +193,12 @@ class TestBatchMaterializer:
         ups = [
             (node, base) for node in lattice.nodes_at_height(1)
         ]
-        config = ExecutionConfig(mode="processes", workers=2)
+        # Rollups are not fanned out: each ships its source set's arrays
+        # across the process boundary to a shard worker whole.
+        config = ExecutionConfig(mode="shards", workers=2)
         with BatchMaterializer(problem, config) as pool:
             results = pool.materialize_batch(evaluator, ups)
+            assert pool.mode == "shards"
 
         check = FrequencyEvaluator(problem, SearchStats())
         for (node, _), result in zip(ups, results):

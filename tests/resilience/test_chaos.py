@@ -1,9 +1,9 @@
 """Chaos suite: full algorithms under injected faults (CI's chaos job).
 
 Hypothesis generates random problems and runs Incognito on a fault-ridden
-thread pool; a dedicated seed-listed case runs the ISSUE acceptance plan —
+thread pool; a dedicated seed-listed case runs the acceptance plan —
 ``FaultPlan(crash_rate=0.2, timeout_rate=0.1, seed=7)`` — on a real
-process pool.  In every case the anonymous node set and all
+process pool (the shards backend).  In every case the anonymous node set and all
 ``frequency.*`` counters must be bit-identical to the serial no-fault
 run: fault injection may cost retries and wall-clock, never answers.
 
@@ -79,15 +79,17 @@ def test_bottom_up_differential_under_faults(seed, k):
 
 
 def test_acceptance_plan_on_process_pool():
-    """The acceptance criterion's fixed-seed case on a real process pool.
+    """The acceptance criterion's fixed-seed case on a real process pool
+    (the shards backend, with shards small enough that scans fan out).
 
     Seed-listed rather than hypothesis-driven because a process pool per
     generated example would dominate the suite's runtime (the same
     trade-off ``tests/differential`` makes).
     """
     execution = ExecutionConfig(
-        mode="processes",
+        mode="shards",
         workers=2,
+        shard_rows=8,
         faults=ACCEPTANCE_PLAN,
         chunk_timeout=0.25,
         backoff_base=0.001,

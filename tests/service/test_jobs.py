@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.parallel.config import MODES
 from repro.service.jobs import (
     CANCELLED,
     FAILED,
@@ -11,6 +14,7 @@ from repro.service.jobs import (
     RUNNING,
     SUCCEEDED,
     TERMINAL_STATES,
+    JOB_MODES,
     AdmissionError,
     JobRecord,
     JobSpec,
@@ -45,6 +49,11 @@ class TestSpecValidation:
             {"algorithm": "nope"},
             {"mode": "gpu"},
             {"workers": 0},
+            # More workers than CPUs: rejected before a runner could
+            # fork that many shard processes (never start a pool here).
+            {"workers": (os.cpu_count() or 1) + 1},
+            {"mode": "shards", "workers": 100_000},
+            {"mode": "processes", "workers": 2},
             {"shard_rows": 0},
             {"max_suppression": -1},
             {"deadline_seconds": 0},
@@ -59,6 +68,12 @@ class TestSpecValidation:
     def test_malformed_fields_are_rejected(self, overrides):
         with pytest.raises(JobValidationError):
             valid_spec(**overrides).validate()
+
+
+class TestModes:
+    def test_job_modes_are_the_execution_modes(self):
+        assert JOB_MODES is MODES
+        assert MODES == ("serial", "threads", "shards")
 
 
 class TestSpecJson:

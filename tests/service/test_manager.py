@@ -17,8 +17,15 @@ import pytest
 
 from repro.resilience.faults import FaultPlan
 from repro.service import runner
-from repro.service.jobs import AdmissionError, JobSpec, JobValidationError
+from repro.service.jobs import (
+    AdmissionError,
+    JobRecord,
+    JobSpec,
+    JobValidationError,
+    job_id_for,
+)
 from repro.service.manager import JobManager
+from repro.service.wal import JobStore
 from tests.service.conftest import job_payload, write_dataset_csv
 
 #: Generous ceiling for one spawned job (cold numpy import dominates).
@@ -232,6 +239,37 @@ class TestRecovery:
             assert second.startup_sweep is not None
         finally:
             second.drain()
+
+    def test_persisted_processes_job_fails_once_with_cause(self, tmp_path):
+        # A WAL written when ``processes`` was still an execution mode can
+        # hold a queued job naming it.  Recovery must not crash-loop on
+        # it: the runner rejects the mode, the job fails after exactly one
+        # attempt with the mode in its cause, and the manager keeps
+        # serving.
+        store = JobStore(tmp_path / "svc")
+        stale = JobRecord(
+            id=job_id_for(1),
+            seq=1,
+            spec=make_spec(tmp_path, mode="processes", workers=2),
+        )
+        store.append(stale.to_json())
+        store.close()
+
+        manager = JobManager(tmp_path / "svc", **FAST)
+        manager.start()
+        try:
+            record = finished(manager, stale.id)
+            assert record.state == "failed"
+            assert record.attempt == 1
+            assert "processes" in record.cause
+            assert manager.counters.as_dict().get("service.retries", 0) == 0
+
+            fresh = manager.submit(make_spec(tmp_path))
+            fresh = finished(manager, fresh.id)
+            assert fresh.state == "succeeded"
+            assert_bit_identical(manager, fresh)
+        finally:
+            manager.drain()
 
     def test_recovery_skips_terminal_jobs(self, tmp_path):
         first = JobManager(tmp_path / "svc")

@@ -126,6 +126,10 @@ class TestSubmissionErrors:
                 {"dataset": "builtin:adults", "k": 0},
                 {"dataset": "builtin:adults", "k": 2, "bogus": True},
                 {"dataset": "builtin:adults", "k": 2, "qi": ["age", "age"]},
+                {"dataset": "builtin:adults", "k": 2, "mode": "processes",
+                 "workers": 2},
+                {"dataset": "builtin:adults", "k": 2, "mode": "shards",
+                 "workers": 100_000},
                 {"k": 2},
             ):
                 status, body = live.client.submit(document)
