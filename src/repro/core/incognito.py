@@ -23,9 +23,8 @@ height's work into a batch and hands it to a
 threads, or shard-parallel on a process pool — with bit-identical results
 and identical structural counters in every mode (see
 :mod:`repro.parallel.evaluator` for the determinism contract).  Within a
-level, entries are processed in insertion order (roots first, then
-children in parent order), which is exactly the order the previous
-heap-based engine popped them in.
+level, entries are processed in insertion order: roots first, then
+children in parent order.
 
 The engine is shared by the variants, which differ only in how *root*
 frequency sets are obtained — a provider answers
@@ -69,6 +68,7 @@ from repro.parallel import BatchMaterializer, ExecutionConfig
 from repro.resilience.checkpoint import (
     CHECKPOINT_FORMAT,
     CheckpointStore,
+    check_survivors,
     nodes_from_json,
     nodes_to_json,
     problem_fingerprint,
@@ -77,7 +77,11 @@ from repro.resilience.checkpoint import (
 
 
 class RootProvider:
-    """Strategy object supplying frequency sets for candidate-graph roots."""
+    """Strategy object supplying frequency sets for candidate-graph roots.
+
+    The base class is Basic Incognito's: no root has a rollup source, so
+    every root costs one scan of the base table.
+    """
 
     def prepare(self, evaluator: FrequencyEvaluator, graph: CandidateGraph) -> None:
         """Hook called once per iteration before the search starts."""
@@ -102,14 +106,6 @@ class RootProvider:
         return evaluator.materialize(node, self.root_source(evaluator, node))
 
 
-class ScanRootProvider(RootProvider):
-    """Basic Incognito: every root costs one scan of the base table.
-
-    The default :meth:`RootProvider.root_source` (no source) already means
-    "scan"; the class exists so the basic variant is named in code.
-    """
-
-
 def _search_graph(
     evaluator: FrequencyEvaluator,
     graph: CandidateGraph,
@@ -117,31 +113,34 @@ def _search_graph(
     max_suppression: int,
     provider: RootProvider,
     pool: BatchMaterializer,
-) -> list[LatticeNode]:
-    """One iteration's modified BFS; returns the surviving (anonymous) nodes.
+) -> list[int]:
+    """One iteration's modified BFS; returns the surviving nodes' ids, ascending.
 
     Nodes enter their height's entry list either as roots or as direct
     generalizations of failed nodes.  Each height is evaluated as one
     batch; failed nodes cache their frequency sets so children can roll up
     from them, and a cache entry is released once all entries referencing
-    it have been consumed.
+    it have been consumed.  The search runs on graph ids; a
+    :class:`LatticeNode` is built only for a node handed to the evaluator.
     """
     stats = evaluator.stats
-    survivors = set(graph.nodes)
-    marked: set[LatticeNode] = set()
-    freq_cache: dict[LatticeNode, FrequencySet] = {}
-    pending_children: dict[LatticeNode, int] = {}
+    up = graph.up
+    heights = [sum(level for _, level in key) for key in graph.keys]
+    failed = bytearray(len(heights))
+    marked = bytearray(len(heights))
+    seen = bytearray(len(heights))
+    freq_cache: dict[int, FrequencySet] = {}
+    pending_children: dict[int, int] = {}
 
-    # Per-height entry lists, in insertion order.  A node's entries all
-    # live at its own height, and children enter strictly above the level
-    # being processed, so popping min(levels) visits nodes in exactly the
-    # old heap's (height, insertion counter) order.
-    levels: dict[int, list[tuple[LatticeNode, LatticeNode | None]]] = {}
-    for root in graph.roots():
-        levels.setdefault(root.height, []).append((root, None))
+    # Per-height entry lists of (id, parent id) in insertion order, parent 0
+    # for a root.  Children enter strictly above the level being processed,
+    # so popping min(levels) visits nodes in (height, insertion) order.
+    levels: dict[int, list[tuple[int, int]]] = {}
+    for root in graph.root_ids():
+        levels.setdefault(heights[root], []).append((root, 0))
 
-    def release(parent: LatticeNode | None) -> None:
-        if parent is None:
+    def release(parent: int) -> None:
+        if not parent:
             return
         pending_children[parent] -= 1
         if pending_children[parent] == 0:
@@ -156,40 +155,44 @@ def _search_graph(
         # Triage the level: duplicates release their parent, marked nodes
         # propagate (all marks affecting this height were created at lower
         # heights, so membership is final here), the rest form the batch.
-        batch: list[tuple[LatticeNode, LatticeNode | None]] = []
+        batch: list[tuple[int, int]] = []
         requests: list[tuple[LatticeNode, FrequencySet | None]] = []
-        seen: set[LatticeNode] = set()
-        for node, parent in entries:
-            if node in seen:
+        for node_id, parent in entries:
+            if seen[node_id]:
                 release(parent)
                 continue
-            seen.add(node)
-            if node in marked:
+            seen[node_id] = 1
+            if marked[node_id]:
                 # Anonymous by the generalization property; propagate.
                 stats.nodes_marked += 1
-                marked.update(graph.direct_generalizations(node))
+                for end in up[node_id]:
+                    marked[end] = 1
                 release(parent)
                 continue
-            batch.append((node, parent))
-            if parent is not None:
+            batch.append((node_id, parent))
+            node = graph.node_of(node_id)
+            if parent:
                 requests.append((node, freq_cache[parent]))
             else:
                 requests.append((node, provider.root_source(evaluator, node)))
 
         frequency_sets = pool.materialize_batch(evaluator, requests)
 
-        for (node, parent), frequency_set in zip(batch, frequency_sets):
+        for (node_id, parent), (node, _), frequency_set in zip(
+            batch, requests, frequency_sets
+        ):
+            children = up[node_id]
             if evaluator.decide(node, frequency_set, k, max_suppression):
-                marked.update(graph.direct_generalizations(node))
+                for end in children:
+                    marked[end] = 1
             else:
-                survivors.discard(node)
-                children = graph.direct_generalizations(node)
+                failed[node_id] = 1
                 if children:
-                    freq_cache[node] = frequency_set
-                    pending_children[node] = len(children)
+                    freq_cache[node_id] = frequency_set
+                    pending_children[node_id] = len(children)
                     for child in children:
-                        levels.setdefault(child.height, []).append(
-                            (child, node)
+                        levels.setdefault(heights[child], []).append(
+                            (child, node_id)
                         )
             release(parent)
 
@@ -198,7 +201,12 @@ def _search_graph(
             "latency.level_seconds", time.perf_counter() - level_started
         )
 
-    return sorted(survivors, key=LatticeNode.sort_key)
+    return [node_id for node_id in range(1, len(heights)) if not failed[node_id]]
+
+
+def _released(graph: CandidateGraph, ids: Sequence[int]) -> list[LatticeNode]:
+    """The nodes ``ids`` name, in ``LatticeNode.sort_key`` order."""
+    return sorted(map(graph.node_of, ids), key=LatticeNode.sort_key)
 
 
 def run_incognito(
@@ -260,23 +268,25 @@ def run_incognito(
             "qi": list(qi),
         }
         if resume:
-            state = store.load_matching(header)
+            # Survivors that do not fit this problem make the file corrupt:
+            # quarantine, then ``.prev``.
+            state = store.load_matching(
+                header, lambda state: check_survivors(state, problem.heights)
+            )
 
     if state is not None and state.get("completed"):
         # The whole search already ran to completion: the result is the
         # checkpoint.  No evaluator, no scans, no pool.
         stats = SearchStats(CounterSet.from_snapshot(state["counters"]))
         stats.elapsed_seconds = float(state.get("elapsed_seconds", 0.0))
-        final = nodes_from_json(
-            state["survivors_by_size"][str(state["iterations_done"])]
-        )
+        done = state["iterations_done"]
         return make_result(
             algorithm,
             k,
-            final,
+            nodes_from_json(state["survivors_by_size"][str(done)]),
             stats,
             max_suppression=max_suppression,
-            resumed_iterations=int(state["iterations_done"]),
+            resumed_iterations=done,
             checkpoint_saves=0,
         )
 
@@ -285,12 +295,11 @@ def run_incognito(
     started = time.perf_counter()
     # Provider construction may do real work (Cube Incognito's
     # pre-computation phase) so it is timed as part of the run.
-    if provider_factory is None:
-        provider = ScanRootProvider()
-    else:
-        provider = provider_factory(problem, evaluator)
+    provider = (
+        provider_factory(problem, evaluator) if provider_factory else RootProvider()
+    )
     graph = initial_graph(qi, problem.heights)
-    survivors: Sequence[LatticeNode] = []
+    survivor_ids: list[int] = []
 
     survivors_by_size: dict[str, list] = {}
     start_size = 1
@@ -302,18 +311,14 @@ def run_incognito(
         # counters match an uninterrupted run.
         stats.counters = CounterSet.from_snapshot(state["counters"])
         survivors_by_size = dict(state["survivors_by_size"])
-        start_size = int(state["iterations_done"]) + 1
+        done = state["iterations_done"]
+        start_size = done + 1
         base_elapsed = float(state.get("elapsed_seconds", 0.0))
-        with obs.span(
-            "incognito.resume",
-            algorithm=algorithm,
-            iterations_done=start_size - 1,
-        ):
+        with obs.span("incognito.resume", algorithm=algorithm, iterations_done=done):
             # The next candidate graph depends only on the last completed
             # iteration's survivors: pure graph work, no scans, no rollups,
             # no node checks, no counter changes.
-            survivors = nodes_from_json(survivors_by_size[str(start_size - 1)])
-            graph = graph_generation(survivors, qi)
+            graph = graph_generation(nodes_from_json(survivors_by_size[str(done)]), qi)
 
     pool = BatchMaterializer(problem, execution)
     try:
@@ -330,16 +335,18 @@ def run_incognito(
                 checked_before = stats.nodes_checked
                 stats.nodes_generated += len(graph)
                 provider.prepare(evaluator, graph)
-                survivors = _search_graph(
+                survivor_ids = _search_graph(
                     evaluator, graph, k, max_suppression, provider, pool
                 )
                 if sp:
                     sp.set(
-                        survivors=len(survivors),
+                        survivors=len(survivor_ids),
                         nodes_checked=stats.nodes_checked - checked_before,
                     )
             if store is not None:
-                survivors_by_size[str(size)] = nodes_to_json(survivors)
+                survivors_by_size[str(size)] = nodes_to_json(
+                    _released(graph, survivor_ids)
+                )
                 store.save(
                     {
                         **header,
@@ -355,7 +362,9 @@ def run_incognito(
                 with obs.span(
                     "incognito.graph_generation", subset_size=size + 1
                 ):
-                    graph = graph_generation(survivors, qi)
+                    graph = graph_generation(
+                        [graph.keys[node_id] for node_id in survivor_ids], qi
+                    )
     finally:
         pool.close()
     stats.elapsed_seconds = base_elapsed + time.perf_counter() - started
@@ -369,7 +378,7 @@ def run_incognito(
     return make_result(
         algorithm,
         k,
-        survivors,
+        _released(graph, survivor_ids),
         stats,
         max_suppression=max_suppression,
         **extra,

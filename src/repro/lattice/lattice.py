@@ -10,6 +10,7 @@ Figure 3(a) is ``GeneralizationLattice(("Sex", "Zipcode"), (1, 2))``.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Mapping, Sequence
 
 from repro.lattice.node import LatticeNode
@@ -45,9 +46,6 @@ class GeneralizationLattice:
     def heights(self) -> tuple[int, ...]:
         return self._heights
 
-    def height_of(self, attribute: str) -> int:
-        return self._heights[self._attributes.index(attribute)]
-
     # ------------------------------------------------------------------
     # extremes and size
     # ------------------------------------------------------------------
@@ -68,10 +66,7 @@ class GeneralizationLattice:
     @property
     def size(self) -> int:
         """Total number of nodes: ∏ (height_i + 1)."""
-        product = 1
-        for height in self._heights:
-            product *= height + 1
-        return product
+        return math.prod(height + 1 for height in self._heights)
 
     def __contains__(self, node: LatticeNode) -> bool:
         return node.attributes == self._attributes and all(
@@ -98,25 +93,19 @@ class GeneralizationLattice:
 
     def successors(self, node: LatticeNode) -> list[LatticeNode]:
         """Direct generalizations: one attribute, one level up."""
-        self._require(node)
-        result = []
-        for position, (level, height) in enumerate(
-            zip(node.levels, self._heights)
-        ):
-            if level < height:
-                levels = list(node.levels)
-                levels[position] = level + 1
-                result.append(LatticeNode(self._attributes, tuple(levels)))
-        return result
+        return self._steps(node, 1)
 
     def predecessors(self, node: LatticeNode) -> list[LatticeNode]:
         """Direct specializations: one attribute, one level down."""
+        return self._steps(node, -1)
+
+    def _steps(self, node: LatticeNode, step: int) -> list[LatticeNode]:
         self._require(node)
         result = []
-        for position, level in enumerate(node.levels):
-            if level > 0:
-                levels = list(node.levels)
-                levels[position] = level - 1
+        for position, height in enumerate(self._heights):
+            levels = list(node.levels)
+            levels[position] += step
+            if 0 <= levels[position] <= height:
                 result.append(LatticeNode(self._attributes, tuple(levels)))
         return result
 
@@ -144,27 +133,19 @@ class GeneralizationLattice:
 
     def meet(self, nodes: Sequence[LatticeNode]) -> LatticeNode:
         """Greatest lower bound: componentwise minimum level."""
-        if not nodes:
-            raise ValueError("meet of no nodes")
-        for node in nodes:
-            self._require(node)
-        levels = tuple(
-            min(node.levels[i] for node in nodes)
-            for i in range(len(self._attributes))
-        )
-        return LatticeNode(self._attributes, levels)
+        return self._bound(nodes, min, "meet")
 
     def join(self, nodes: Sequence[LatticeNode]) -> LatticeNode:
         """Least upper bound: componentwise maximum level."""
+        return self._bound(nodes, max, "join")
+
+    def _bound(self, nodes: Sequence[LatticeNode], pick, name: str) -> LatticeNode:
         if not nodes:
-            raise ValueError("join of no nodes")
+            raise ValueError(f"{name} of no nodes")
         for node in nodes:
             self._require(node)
-        levels = tuple(
-            max(node.levels[i] for node in nodes)
-            for i in range(len(self._attributes))
-        )
-        return LatticeNode(self._attributes, levels)
+        levels = zip(*(node.levels for node in nodes))
+        return LatticeNode(self._attributes, tuple(map(pick, levels)))
 
     def __repr__(self) -> str:
         pairs = ", ".join(

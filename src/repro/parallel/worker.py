@@ -56,9 +56,9 @@ def init_worker(problem) -> None:
     disabled and the only signal leaving a worker is the per-chunk
     counter delta, which the parent merges deterministically.
     """
-    # Sanctioned worker-resident state: the problem is attached once via
-    # the pool initializer and is read-only thereafter; rebuilding it per
-    # chunk would re-attach the table on every submit.
+    # ra: RA003 -- sanctioned worker-resident state: the problem is attached
+    # once via the pool initializer and is read-only thereafter; rebuilding
+    # it per chunk would re-attach the table on every submit.
     global _PROBLEM
     _PROBLEM = problem
     import os

@@ -34,7 +34,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -211,6 +211,52 @@ def nodes_to_json(nodes) -> list[dict[str, Any]]:
 
 def nodes_from_json(items) -> list["LatticeNode"]:
     return [node_from_json(item) for item in items]
+
+
+def check_survivors(state: dict[str, Any], heights: Mapping[str, int]) -> None:
+    """Raise :class:`CheckpointError` unless an Incognito state fits a problem.
+
+    ``heights`` maps each quasi-identifier attribute to its hierarchy
+    height.  ``iterations_done`` must be an int in ``[1, |QI|]`` with its
+    own survivor list, and ``completed`` must hold exactly at ``|QI|``.
+    Every survivor stored under size key ``s`` must name ``s`` distinct
+    quasi-identifier attributes, each at an int level in ``[0, height]``.
+    A resume from anything else would build the next candidate graph from
+    nodes this problem does not have.
+    """
+    done = state.get("iterations_done")
+    if type(done) is not int or not 1 <= done <= len(heights):
+        raise CheckpointError(
+            f"iterations_done {done!r} is outside [1, {len(heights)}]"
+        )
+    if bool(state.get("completed")) != (done == len(heights)):
+        raise CheckpointError(f"completed disagrees with iterations_done {done}")
+    by_size = state.get("survivors_by_size")
+    if not isinstance(by_size, dict) or str(done) not in by_size:
+        raise CheckpointError(f"no survivors stored for iteration {done}")
+    for size, items in by_size.items():
+        try:
+            expected = int(size)
+            for item in items:
+                names, levels = item["a"], item["l"]
+                if not len(names) == len(levels) == len(set(names)) == expected:
+                    raise CheckpointError(
+                        f"survivor {item!r} is not a node over {size} attributes"
+                    )
+                for name, level in zip(names, levels):
+                    if (
+                        name not in heights
+                        or type(level) is not int
+                        or not 0 <= level <= heights[name]
+                    ):
+                        raise CheckpointError(
+                            f"survivor {item!r} puts {name!r} at level "
+                            f"{level!r}, outside this problem's lattice"
+                        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"malformed survivors of size {size!r}: {exc!r}"
+            ) from None
 
 
 def frequency_set_to_json(frequency_set) -> dict[str, Any]:

@@ -323,6 +323,10 @@ def run_job_child(
             else CheckpointStore(directory / CHECKPOINT_FILE)
         )
         try:
+            # Crash recovery rebuilds specs from the WAL without validating
+            # them, so validate here, before any execution config or pool
+            # exists: a bad spec fails once, with its cause.
+            spec.validate()
             with obs.use_tracer(tracer):
                 with obs.span(
                     "service.job.run",

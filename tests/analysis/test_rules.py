@@ -13,6 +13,7 @@ CASES = [
     ("ra002_unknown_counter.py", {"RA002"}),
     ("ra002_unknown_metric.py", {"RA002"}),
     ("ra003_shared_state.py", {"RA003"}),
+    ("ra003_helper_global.py", {"RA003"}),
     ("ra004_plain_write.py", {"RA004"}),
     ("ra005_undocumented_flag.py", {"RA005"}),
     ("ra006_lock_across_join.py", {"RA006"}),

@@ -34,9 +34,9 @@ def test_src_tree_has_no_active_findings():
 def test_sanctioned_suppressions_are_present_and_justified():
     findings = analyze_paths([SRC])
     suppressed = [finding for finding in findings if finding.suppressed]
-    # The sanctioned sites: the worker-resident problem's read in
-    # run_chunk (its write sits one call below the shards initializer),
-    # the atomic-write primitive's own temp-file open, and the tracer's
+    # The sanctioned sites: the worker-resident problem's write in
+    # init_worker (one call below the shards initializer) and its read in
+    # run_chunk, the atomic-write primitive's own temp-file open, and the tracer's
     # wall-clock anchor (the one deliberate time.time() that lets spans
     # from different processes stitch onto a shared clock).
     assert {(f.rule, Path(f.path).name) for f in suppressed} == {

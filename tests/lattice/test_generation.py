@@ -9,12 +9,29 @@ from repro.lattice.generation import (
     graph_generation,
     initial_graph,
     join_phase,
+    node_key,
     prune_phase,
 )
 from repro.lattice.node import LatticeNode
 
 PATIENTS_QI = ("Birthdate", "Sex", "Zipcode")
 HEIGHTS = {"Birthdate": 1, "Sex": 1, "Zipcode": 2}
+
+
+def as_keys(nodes, order=PATIENTS_QI):
+    """Nodes as the (rank, level) keys join and prune work on."""
+    ranks = {name: rank for rank, name in enumerate(order)}
+    return [node_key(node, ranks) for node in nodes]
+
+
+def as_nodes(keys, order=PATIENTS_QI):
+    """Keys back as nodes, attributes in ``order``."""
+    return [
+        LatticeNode(
+            tuple(order[rank] for rank, _ in key), tuple(level for _, level in key)
+        )
+        for key in keys
+    ]
 
 
 def bsz(b: int, s: int, z: int) -> LatticeNode:
@@ -43,7 +60,7 @@ class TestJoinPhase:
             LatticeNode(("Sex",), (1,)),
             LatticeNode(("Zipcode",), (0,)),
         ]
-        candidates = set(join_phase(survivors, PATIENTS_QI))
+        candidates = set(as_nodes(join_phase(as_keys(survivors))))
         assert candidates == {
             LatticeNode(("Sex", "Zipcode"), (0, 0)),
             LatticeNode(("Sex", "Zipcode"), (1, 0)),
@@ -55,7 +72,7 @@ class TestJoinPhase:
             LatticeNode(("Zipcode",), (0,)),
             LatticeNode(("Sex",), (0,)),
         ]
-        candidates = join_phase(survivors, PATIENTS_QI)
+        candidates = as_nodes(join_phase(as_keys(survivors)))
         assert len(candidates) == 1
         assert candidates[0].attributes == ("Sex", "Zipcode")
 
@@ -65,7 +82,7 @@ class TestJoinPhase:
             LatticeNode(("Sex", "Birthdate"), (1, 0)),  # different Sex level
         ]
         # normalised order: (Birthdate, Sex) vs (Sex, Zipcode): prefixes differ
-        assert join_phase(survivors, PATIENTS_QI) == []
+        assert join_phase(as_keys(survivors)) == []
 
 
 class TestPrunePhase:
@@ -74,21 +91,21 @@ class TestPrunePhase:
             LatticeNode(("Sex",), (0,)),
             LatticeNode(("Zipcode",), (0,)),
         ]
-        candidates = join_phase(survivors, PATIENTS_QI)
-        assert len(prune_phase(candidates, survivors)) == 1
+        candidates = join_phase(as_keys(survivors))
+        assert len(prune_phase(candidates, as_keys(survivors))) == 1
         # now remove a needed subset: candidate ⟨S0, Z0⟩ requires both parents
-        pruned = prune_phase(candidates, [LatticeNode(("Sex",), (0,))])
+        pruned = prune_phase(candidates, as_keys([LatticeNode(("Sex",), (0,))]))
         assert pruned == []
 
     def test_order_insensitive(self):
         """A survivor matches a projection listing its attributes in any order."""
-        candidate = LatticeNode(("a", "b", "c"), (0, 1, 2))
+        candidate = as_keys([LatticeNode(("a", "b", "c"), (0, 1, 2))], "abc")
         survivors = [
             LatticeNode(("b", "a"), (1, 0)),
             LatticeNode(("c", "a"), (2, 0)),
             LatticeNode(("b", "c"), (1, 2)),
         ]
-        assert prune_phase([candidate], survivors) == [candidate]
+        assert prune_phase(candidate, as_keys(survivors, "abc")) == candidate
 
     def test_three_attribute_candidate(self):
         """Every projection counts, not only the two join parents."""
@@ -98,10 +115,15 @@ class TestPrunePhase:
             LatticeNode(("b", "c"), (1, 2)),
             LatticeNode(("a", "c"), (0, 0)),
         ]
-        kept = LatticeNode(("a", "b", "c"), (0, 1, 2))
-        # ⟨a0, b1⟩ and ⟨a0, c0⟩ survived, but ⟨b1, c0⟩ did not.
-        missing = LatticeNode(("a", "b", "c"), (0, 1, 0))
-        assert prune_phase([kept, missing], survivors) == [kept]
+        kept, missing = as_keys(
+            [
+                LatticeNode(("a", "b", "c"), (0, 1, 2)),
+                # ⟨a0, b1⟩ and ⟨a0, c0⟩ survived, but ⟨b1, c0⟩ did not.
+                LatticeNode(("a", "b", "c"), (0, 1, 0)),
+            ],
+            "abc",
+        )
+        assert prune_phase([kept, missing], as_keys(survivors, "abc")) == [kept]
 
 
 class TestPaperExample:

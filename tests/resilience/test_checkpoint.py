@@ -28,6 +28,7 @@ from repro.resilience import (
     problem_fingerprint,
     use_checkpoints,
 )
+from repro.resilience.checkpoint import check_survivors
 from tests.conftest import make_random_problem, tiny_numeric_problem
 
 
@@ -374,3 +375,68 @@ class TestInvalidBoundarySet:
         data["key_codes"][0] = data["key_codes"][0][:1]
         with pytest.raises(CheckpointError):
             frequency_set_from_json(data, problem)
+
+
+class TestInvalidSurvivors:
+    """An Incognito checkpoint whose survivors do not fit the problem is corrupt.
+
+    The next candidate graph is built from the stored survivors alone, so
+    a level above an attribute's height would silently drop candidates,
+    and a name outside the quasi-identifier would crash graph generation.
+    Both take the corrupt-file path instead: quarantine, then the previous
+    iteration's ``.prev`` snapshot.
+    """
+
+    @pytest.mark.parametrize("field, value", [("l", 99), ("a", "no_such_attribute")])
+    def test_resume_quarantines_and_falls_back(self, tmp_path, field, value):
+        from repro.core.problem import PreparedTable
+        from repro.datasets.adults import ADULTS_QI, adults_hierarchies, adults_table
+
+        qi = ADULTS_QI[:4]
+        hierarchies = adults_hierarchies()
+        problem = PreparedTable(
+            adults_table(3_000), {name: hierarchies[name] for name in qi}, qi
+        )
+        baseline = basic_incognito(problem, 2)
+        path = tmp_path / "run.ckpt.json"
+        with pytest.raises(Killed):
+            basic_incognito(problem, 2, checkpoint=BombStore(path, 2))
+        state = json.loads(path.read_text())
+        state["survivors_by_size"]["2"][0][field][0] = value
+        path.write_text(json.dumps(state))
+
+        store = CheckpointStore(path)
+        resumed = basic_incognito(problem, 2, checkpoint=store, resume=True)
+        assert [p.name for p in store.quarantined] == ["run.ckpt.json.quarantined"]
+        assert resumed.details["resumed_iterations"] == 1  # from the .prev snapshot
+        assert resumed.anonymous_nodes == baseline.anonymous_nodes
+        assert comparable_counters(resumed.stats) == (
+            comparable_counters(baseline.stats)
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"iterations_done": 0},
+            {"iterations_done": 5},
+            {"iterations_done": "2"},
+            {"completed": True},
+            {"survivors_by_size": {"1": []}},
+            {"survivors_by_size": {"2": [{"a": ["age"], "l": [0]}]}},
+            {"survivors_by_size": {"2": [{"a": ["age", "age"], "l": [0, 0]}]}},
+            {"survivors_by_size": {"2": [{"a": ["age", "race"], "l": [0, 1.0]}]}},
+            {"survivors_by_size": {"2": [{"a": ["age", "race"], "l": [-1, 0]}]}},
+            {"survivors_by_size": {"2": [{"a": ["age", "race"]}]}},
+            {"survivors_by_size": {"2": [], "x": []}},
+        ],
+    )
+    def test_check_survivors_rejects(self, change):
+        heights = {"age": 4, "gender": 1, "race": 1, "marital_status": 2}
+        state = {
+            "iterations_done": 2,
+            "completed": False,
+            "survivors_by_size": {"2": [{"a": ["age", "race"], "l": [4, 1]}]},
+        }
+        check_survivors(state, heights)
+        with pytest.raises(CheckpointError):
+            check_survivors({**state, **change}, heights)

@@ -13,6 +13,8 @@ job seq 1 draws a fault on attempt 0 and runs clean on attempt 1.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.resilience.faults import FaultPlan
@@ -262,6 +264,35 @@ class TestRecovery:
             assert record.state == "failed"
             assert record.attempt == 1
             assert "processes" in record.cause
+            assert manager.counters.as_dict().get("service.retries", 0) == 0
+
+            fresh = manager.submit(make_spec(tmp_path))
+            fresh = finished(manager, fresh.id)
+            assert fresh.state == "succeeded"
+            assert_bit_identical(manager, fresh)
+        finally:
+            manager.drain()
+
+    def test_recovered_spec_over_cpu_count_fails_once_with_cause(self, tmp_path):
+        # Recovery rebuilds specs without validating them; the runner must
+        # reject more workers than this host has CPUs before starting any
+        # pool, fail the job once with the cause, and keep serving.
+        store = JobStore(tmp_path / "svc")
+        stale = JobRecord(
+            id=job_id_for(1),
+            seq=1,
+            spec=make_spec(tmp_path, mode="shards", workers=(os.cpu_count() or 1) + 1),
+        )
+        store.append(stale.to_json())
+        store.close()
+
+        manager = JobManager(tmp_path / "svc", **FAST)
+        manager.start()
+        try:
+            record = finished(manager, stale.id)
+            assert record.state == "failed"
+            assert record.attempt == 1
+            assert "workers" in record.cause
             assert manager.counters.as_dict().get("service.retries", 0) == 0
 
             fresh = manager.submit(make_spec(tmp_path))
