@@ -7,10 +7,13 @@
   lattice over a fixed attribute set, with direct-generalization edges,
   heights, and distance vectors.
 * :class:`~repro.lattice.graph.CandidateGraph` — the per-iteration candidate
-  node/edge graph of the Incognito algorithm, exportable to the relational
-  nodes/edges representation of Figure 6.
+  node/edge graph of the Incognito algorithm: nodes as plain keys of
+  (attribute rank, level) pairs with int ids and adjacency lists, built
+  into :class:`LatticeNode` objects only on request, and exportable to
+  the relational nodes/edges representation of Figure 6.
 * :mod:`~repro.lattice.generation` — the a-priori graph-generation step
-  of Section 3.1.2: join, a set-membership prune, and one-step edges.
+  of Section 3.1.2 over those keys: join, a set-membership prune, and
+  one-step edges.
 """
 
 from repro.lattice.generation import graph_generation, initial_graph
